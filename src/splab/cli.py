@@ -10,10 +10,10 @@ Subcommands:
 
 Parameters are given as flags (``--h``, ``--lambda``, ``--vb``, ``--gamma``,
 ``--mu0``), each either a scalar (``--h 0.7``) or an axis ``min:max:steps``
-(``--h 0.5:1:51``, steps >= 2).  A JSON config file (``--config``) may supply
-the same keys; explicit flags override it.  Output goes to ``--out`` or
-stdout as CSV (default) or JSON; floats are fixed at 12 significant digits so
-identical runs are byte-identical.
+(``--h 0.5:1:51``, steps >= 2); a grid holds at most 10^6 points.  A JSON
+config file (``--config``) may supply the same keys; explicit flags override
+it.  Output goes to ``--out`` or stdout as CSV (default) or JSON; floats are
+fixed at 12 significant digits so identical runs are byte-identical.
 
 Examples:
     splab solve --h 0.7 --lambda 1 --vb 0.1
@@ -26,15 +26,17 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
+import math
 import sys
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .demand import build_wtp_schedule, expected_demand, piecewise_profit
+from .demand import piecewise_profit
 from .equilibrium import (
     _level_profit_G,
     classify_equilibrium,
@@ -63,6 +65,9 @@ class UsageError(Exception):
 AXIS_ORDER = ("h", "lambda", "v_B", "gamma", "mu0")
 AXIS_DEFAULTS = {"lambda": 0.0, "v_B": 0.1, "gamma": 0.5, "mu0": 0.5}
 CONFIG_KEYS = set(AXIS_ORDER) | {"format", "out", "seed", "draws"}
+#: Largest grid (product of the axis step counts) a command will build; 4x
+#: the 501 x 501 maps the tool is meant for.
+MAX_GRID_POINTS = 10**6
 
 SOLVE_COLUMNS = (
     "h", "lambda", "v_B", "gamma", "mu0",
@@ -96,14 +101,19 @@ def _json_value(value):
     return float(format(float(value), ".12g"))
 
 
-def parse_axis(raw, name: str) -> list[float]:
-    """A scalar or a 'min:max:steps' range, as a list of grid values."""
+def parse_axis(raw, name: str) -> tuple[float, float, int]:
+    """A scalar or a 'min:max:steps' range, as (min, max, steps).
+
+    A scalar v is (v, v, 1).  Nothing is allocated here, so the grid size
+    can be bounded before any axis is built.
+    """
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return [float(raw)]
+        return float(raw), float(raw), 1
     text = str(raw).strip()
     if ":" not in text:
         try:
-            return [float(text)]
+            value = float(text)
+            return value, value, 1
         except ValueError as exc:
             raise UsageError(f"cannot parse --{name} value {text!r}") from exc
     parts = text.split(":")
@@ -117,7 +127,7 @@ def parse_axis(raw, name: str) -> list[float]:
         raise UsageError(f"--{name}: swept axis needs steps >= 2, got {steps}")
     if not lo < hi:
         raise UsageError(f"--{name}: range needs min < max, got {text!r}")
-    return [float(v) for v in np.linspace(lo, hi, steps)]
+    return lo, hi, steps
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -139,7 +149,7 @@ def _load_config(path: Optional[str]) -> dict:
 def _resolve_axes(args, config: dict) -> dict[str, list[float]]:
     """Merge flags over config over defaults into per-axis value lists."""
     flag_names = {"h": "h", "lambda": "lam", "v_B": "vb", "gamma": "gamma", "mu0": "mu0"}
-    axes: dict[str, list[float]] = {}
+    specs: dict[str, tuple[float, float, int]] = {}
     for axis in AXIS_ORDER:
         raw = getattr(args, flag_names[axis])
         if raw is None:
@@ -148,8 +158,14 @@ def _resolve_axes(args, config: dict) -> dict[str, list[float]]:
             if axis == "h":
                 raise UsageError("--h is required (scalar or min:max:steps)")
             raw = AXIS_DEFAULTS[axis]
-        axes[axis] = parse_axis(raw, axis)
-    return axes
+        specs[axis] = parse_axis(raw, axis)
+    size = math.prod(steps for _, _, steps in specs.values())
+    if size > MAX_GRID_POINTS:
+        raise UsageError(f"grid has {size} points; at most {MAX_GRID_POINTS} allowed")
+    return {
+        axis: [float(v) for v in np.linspace(lo, hi, steps)]
+        for axis, (lo, hi, steps) in specs.items()
+    }
 
 
 def _grid_points(axes: dict[str, list[float]]) -> Iterable[dict[str, float]]:
@@ -240,28 +256,23 @@ def _threshold_rows(axes: dict[str, list[float]]) -> list[dict]:
 
 
 def _write_rows(rows: Sequence[dict], columns: Sequence[str], args) -> None:
-    out_format = args.format or "csv"
-    if out_format == "csv":
-        text_rows = [[fmt(row.get(col)) for col in columns] for row in rows]
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(columns)
-                writer.writerows(text_rows)
-        else:
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows(text_rows)
-        return
-    payload = [
-        {col: _json_value(row.get(col)) for col in columns} for row in rows
-    ]
-    text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            target = open(args.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        target = contextlib.nullcontext(sys.stdout)
+    with target as fh:
+        if (args.format or "csv") == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([fmt(row.get(col)) for col in columns] for row in rows)
+        else:
+            payload = [
+                {col: _json_value(row.get(col)) for col in columns} for row in rows
+            ]
+            fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -277,34 +288,47 @@ def _random_base_params(rng: np.random.Generator) -> ModelParams:
     )
 
 
+def _random_naive_params(rng: np.random.Generator) -> ModelParams:
+    """A fully naive market (lam = 0) with a free precision mix and prior."""
+    return ModelParams(
+        h=float(rng.uniform(0.5, 1.0)),
+        lam=0.0,
+        v_B=float(rng.uniform(0.0, 0.95)),
+        gamma=float(rng.uniform(0.01, 0.99)),
+        mu0=float(rng.uniform(0.0, 1.0)),
+    )
+
+
 def _check_oracle_agreement(rng: np.random.Generator) -> tuple[bool, str]:
     mismatches = 0
     checked = 0
-    for _ in range(200):
-        params = _random_base_params(rng)
+    points = [_random_base_params(rng) for _ in range(200)]
+    points += [_random_naive_params(rng) for _ in range(100)]
+    for params in points:
         out = solve_pooling(params)
         if out.kind != "pooling":
             continue
         checked += 1
-        for quality in (Quality.G, Quality.B):
-            price, _ = grid_argmax(params, quality)
-            if quality is Quality.G and price != out.price:
-                mismatches += 1
-    return mismatches == 0, f"{checked} pooling points, {mismatches} price mismatches"
+        price, _ = grid_argmax(params, Quality.G)
+        if price != out.price:
+            mismatches += 1
+    return mismatches == 0, (
+        f"{checked} pooling points incl. naive-market gamma/mu0, "
+        f"{mismatches} price mismatches"
+    )
 
 
 def _check_piecewise_identity(rng: np.random.Generator) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(2000):
         params = _random_base_params(rng)
-        schedule = build_wtp_schedule(params)
         for quality in (Quality.G, Quality.B):
             profile = piecewise_profit(params, quality)
-            for price in rng.uniform(0.0, 1.0, size=5):
-                p = float(price)
-                gap = abs(profile.profit(p) - p * expected_demand(schedule, p, quality))
-                worst = max(worst, gap)
-    return worst <= 1e-12, f"max |piecewise - p*demand| = {worst:.3g}"
+            prices = rng.uniform(0.0, 1.0, size=5)
+            enumerated = demand_by_enumeration(params, quality, prices)
+            for p, demand in zip(prices.tolist(), enumerated.tolist()):
+                worst = max(worst, abs(profile.profit(p) - p * demand))
+    return worst <= 1e-12, f"max |piecewise - p*enumerated demand| = {worst:.3g}"
 
 
 def _check_no_separation(rng: np.random.Generator) -> tuple[bool, str]:
@@ -376,6 +400,10 @@ def _check_monte_carlo(rng: np.random.Generator, draws: int, seed: int) -> tuple
 def _run_verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
     draws = args.draws if args.draws is not None else 200000
+    if draws < 1:
+        raise UsageError(f"--draws must be >= 1, got {draws}")
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     checks = [
         ("oracle-vs-solver price agreement", lambda: _check_oracle_agreement(rng)),
@@ -416,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu0", dest="mu0", help="prior Pr(G): scalar or range")
         p.add_argument("--out", help="output file (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-        p.add_argument("--seed", type=int, help="seed for the verification suite")
         if name == "verify":
+            p.add_argument("--seed", type=int, help="seed for the verification suite")
             p.add_argument("--draws", type=int, help="Monte-Carlo draws per check")
     return parser
 

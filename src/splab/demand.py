@@ -15,9 +15,9 @@ pushes it down.  Expected demand at a price is the total mass at or above
 that price (consumers buy when indifferent), which makes expected profit
 piecewise linear in price with kinks exactly at the five WTP values.
 
-Only the baseline variant has this five-level structure; the gamma and prior
-extensions use their own two-price schedules inside the equilibrium module,
-so non-baseline parameters are rejected here.
+This module builds the ladder for the baseline variant only.  Off the
+baseline the equilibrium module prices the fully naive market (lam = 0) from
+its two naive WTPs directly, so non-baseline parameters are rejected here.
 """
 
 from __future__ import annotations

@@ -7,12 +7,15 @@ the low type mixing between the pooling-like high price and the revealing
 price v_B.
 
 The pooling price maximizes the high type's expected profit over the
-candidate prices (the five WTP levels plus v_B); the equilibrium exists when
-the low type's profit at that price is at least the sure deviation payoff
-v_B.  Off the equilibrium path consumers keep their signal-based beliefs,
-except at prices only a low type could gain from, which are attributed to
-the low type and therefore yield at most v_B -- that is what reduces the
-deviation audit to the single profit_B >= v_B comparison.
+candidate prices: in the symmetric baseline the five WTP levels plus v_B, and
+in the fully naive market (lam = 0) at any precision mix gamma and prior mu0
+the two naive WTPs.  The equilibrium exists when the low type's profit at
+that price is at least the sure deviation payoff v_B.  Off the equilibrium
+path consumers keep their signal-based beliefs, except at prices only a low
+type could gain from, which are attributed to the low type and therefore
+yield at most v_B -- that is what reduces the deviation audit to the single
+profit_B >= v_B comparison.  Other variants (lam > 0 off the baseline) are
+not covered and raise UnsupportedVariantError.
 
 Comparative-statics thresholds (the switch points of profit in h, lambda,
 gamma, and the prior) are computed by bisection on profit differences; the
@@ -24,11 +27,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .demand import WtpSchedule, build_wtp_schedule, expected_demand
 from .model import (
-    ConsumerType,
     ModelParams,
     ParameterError,
     Quality,
@@ -127,16 +129,53 @@ def best_pooling_candidate(params: ModelParams) -> PoolingCandidate:
     return best
 
 
-def solve_pooling(params: ModelParams) -> EquilibriumOutcome:
-    """Pooling equilibrium of the baseline model, or kind=none.
+def _naive_prices(params: ModelParams) -> tuple[float, float, float]:
+    """(bad-signal WTP, good-signal WTP, w_bar) of the fully naive market.
 
-    The price is the high type's candidate argmax; the equilibrium stands
-    iff the low type weakly prefers it to the sure full-coverage deviation
-    payoff v_B (see the module docstring for why that is the only binding
-    deviation).
+    w_bar is Pr(good valence | G); Pr(good valence | B) = 1 - w_bar.
     """
-    _require_base(params, "solve_pooling")
-    cand = best_pooling_candidate(params)
+    p_low = wtp_from_posterior(posterior_naive(params, Valence.BAD), params)
+    p_high = wtp_from_posterior(posterior_naive(params, Valence.GOOD), params)
+    return p_low, p_high, w_bar(params)
+
+
+def _naive_candidate(params: ModelParams) -> PoolingCandidate:
+    """Argmax of the high type's profit in the fully naive market (lam = 0).
+
+    Holds at any gamma, mu0 and v_B.  Only the two naive WTPs can win: the
+    bad-signal WTP (full coverage, level 2) and the good-signal WTP (sold to
+    good-signal holders only, level 4); v_B never beats the bad-signal WTP.
+    Ties break toward the lower price.  At the baseline this agrees with
+    best_pooling_candidate except at h = 0.5, where the five-rung argmax
+    labels the tie level 1, and in the last bit of profit_B.
+    """
+    p_low, p_high, wb = _naive_prices(params)
+    profit_high = p_high * wb
+    if p_low >= profit_high:
+        return PoolingCandidate(p_low, 2, p_low, p_low)
+    return PoolingCandidate(p_high, 4, profit_high, p_high * (1.0 - wb))
+
+
+def solve_pooling(params: ModelParams) -> EquilibriumOutcome:
+    """Pooling equilibrium, or kind=none.
+
+    The price is the high type's candidate argmax: best_pooling_candidate in
+    the symmetric baseline, _naive_candidate in the fully naive market
+    (lam = 0) at any gamma and mu0.  Other variants raise
+    UnsupportedVariantError.  The equilibrium stands iff the low type weakly
+    prefers the price to the sure full-coverage deviation payoff v_B (see
+    the module docstring for why that is the only binding deviation).
+    """
+    if params.is_base_variant:
+        cand = best_pooling_candidate(params)
+    elif params.lam == 0.0:
+        cand = _naive_candidate(params)
+    else:
+        raise UnsupportedVariantError(
+            "solve_pooling covers the symmetric baseline (gamma=0.5, mu0=0.5) "
+            "and the fully naive market (lam=0); got "
+            f"lam={params.lam}, gamma={params.gamma}, mu0={params.mu0}"
+        )
     if cand.profit_B >= params.v_B:
         level = cand.level if cand.level is not None else 1
         return EquilibriumOutcome(
@@ -155,6 +194,11 @@ def solve_pooling(params: ModelParams) -> EquilibriumOutcome:
             f"payoff v_B={params.v_B:.6g}"
         ),
     )
+
+
+#: The precision-mix and prior extensions are parameters of solve_pooling.
+solve_gamma = solve_pooling
+solve_prior = solve_pooling
 
 
 def solve_mixed(params: ModelParams) -> EquilibriumOutcome:
@@ -457,49 +501,8 @@ def _with_existence(
 
 
 # ---------------------------------------------------------------------------
-# Extension solvers.
+# Extension thresholds.
 # ---------------------------------------------------------------------------
-
-
-def solve_gamma(params: ModelParams) -> EquilibriumOutcome:
-    """Pooling equilibrium when the share of high-precision signals varies.
-
-    Covers the fully naive, worthless-bad-product corner (lam = 0, v_B = 0)
-    with any gamma in (0, 1).  Only two candidate prices matter: the
-    bad-signal WTP 1 - w_bar (full coverage, region label R2) and the
-    good-signal WTP w_bar (sell to good-signal holders only, label R4).
-    The solver performs the honest profit comparison; the resulting policy
-    is constant-p1 below h = (sqrt(5)-1)/2, constant-p2 above
-    h = sqrt(5)-1.5 for gamma >= 0.5, and switches at the root of
-    1 - w_bar = w_bar^2 in between.
-    """
-    if params.lam != 0.0 or params.v_B != 0.0 or params.mu0 != 0.5:
-        raise UnsupportedVariantError(
-            "solve_gamma covers lam=0, v_B=0, mu0=0.5 with free gamma; got "
-            f"lam={params.lam}, v_B={params.v_B}, mu0={params.mu0}"
-        )
-    p1 = wtp_from_posterior(posterior_naive(params, Valence.BAD), params)
-    p2 = wtp_from_posterior(posterior_naive(params, Valence.GOOD), params)
-    wb = w_bar(params)
-    profit1 = p1  # full coverage
-    profit2 = p2 * wb  # only good-signal consumers buy
-    if profit1 >= profit2:
-        return EquilibriumOutcome(
-            kind=KIND_POOLING,
-            price=p1,
-            profit_G=profit1,
-            profit_B=p1,
-            region="R2",
-            candidate_level=2,
-        )
-    return EquilibriumOutcome(
-        kind=KIND_POOLING,
-        price=p2,
-        profit_G=profit2,
-        profit_B=p2 * (1.0 - wb),
-        region="R4",
-        candidate_level=4,
-    )
 
 
 def gamma_switch(h: float) -> Optional[float]:
@@ -533,63 +536,13 @@ def gamma_thresholds() -> tuple[float, float]:
     return h_low, h_high
 
 
-def solve_prior(params: ModelParams) -> EquilibriumOutcome:
-    """Pooling equilibrium of the naive market under an asymmetric prior.
-
-    Two candidate prices: the bad-signal WTP (full coverage) and the
-    good-signal WTP.  At mu0 = 0.5 this is exactly the baseline lam = 0
-    problem, so the call is delegated to solve_pooling and the outputs are
-    bitwise identical.  Outside the deviation-safe region the result is
-    kind=none with a diagnostic, not an exception.
-    """
-    if params.lam != 0.0 or params.gamma != 0.5:
-        raise UnsupportedVariantError(
-            "solve_prior covers the naive market (lam=0) at gamma=0.5; got "
-            f"lam={params.lam}, gamma={params.gamma}"
-        )
-    if params.mu0 == 0.5:
-        return solve_pooling(params)
-
-    p_low = wtp_from_posterior(posterior_naive(params, Valence.BAD), params)
-    p_high = wtp_from_posterior(posterior_naive(params, Valence.GOOD), params)
-    wb = w_bar(params)  # Pr(good valence | G); Pr(good valence | B) = 1 - wb
-    profit_low = p_low
-    profit_high = p_high * wb
-    if profit_low >= profit_high:
-        price, level, dem_B = p_low, 2, 1.0
-        profit_G = profit_low
-    else:
-        price, level, dem_B = p_high, 4, 1.0 - wb
-        profit_G = profit_high
-    profit_B = price * dem_B
-    if profit_B >= params.v_B:
-        return EquilibriumOutcome(
-            kind=KIND_POOLING,
-            price=price,
-            profit_G=profit_G,
-            profit_B=profit_B,
-            region=f"R{level}",
-            candidate_level=level,
-        )
-    return EquilibriumOutcome(
-        kind=KIND_NONE,
-        note=(
-            f"prior mu0={params.mu0:.6g} is inside the deviation region: "
-            f"low-type profit {profit_B:.6g} at price {price:.6g} is below "
-            f"v_B={params.v_B:.6g}"
-        ),
-    )
-
-
 def hstar_prior(v_B: float, mu0: float) -> Optional[float]:
     """Precision at which the prior-model profit switches from falling to
     rising: where the good-signal price's profit catches full coverage."""
 
     def diff(h: float) -> float:
-        p = ModelParams(h=h, lam=0.0, v_B=v_B, mu0=mu0)
-        p_low = wtp_from_posterior(posterior_naive(p, Valence.BAD), p)
-        p_high = wtp_from_posterior(posterior_naive(p, Valence.GOOD), p)
-        return p_high * w_bar(p) - p_low
+        p_low, p_high, wb = _naive_prices(ModelParams(h=h, lam=0.0, v_B=v_B, mu0=mu0))
+        return p_high * wb - p_low
 
     return bisect_threshold(diff, (0.5, 1.0))
 
@@ -605,18 +558,8 @@ def prior_mu_lower(h: float, v_B: float, scan_points: int = 2001) -> float:
     """
 
     def margin(mu0: float) -> float:
-        out = solve_prior(ModelParams(h=h, lam=0.0, v_B=v_B, mu0=mu0))
-        if out.kind == KIND_POOLING:
-            assert out.profit_B is not None
-            return out.profit_B - v_B
-        # Reconstruct the failing margin from the diagnostic path.
-        p = ModelParams(h=h, lam=0.0, v_B=v_B, mu0=mu0)
-        p_low = wtp_from_posterior(posterior_naive(p, Valence.BAD), p)
-        p_high = wtp_from_posterior(posterior_naive(p, Valence.GOOD), p)
-        wb = w_bar(p)
-        if p_low >= p_high * wb:
-            return p_low - v_B
-        return p_high * (1.0 - wb) - v_B
+        cand = _naive_candidate(ModelParams(h=h, lam=0.0, v_B=v_B, mu0=mu0))
+        return cand.profit_B - v_B
 
     grid = [k / (scan_points - 1) for k in range(scan_points)]
     margins = [margin(m) for m in grid]
@@ -702,20 +645,15 @@ def compare_markets(
 def classify_equilibrium(params: ModelParams) -> tuple[str, EquilibriumOutcome]:
     """Region label for sweeps: R1..R4, 'mixed', or 'none'.
 
-    Baseline parameters route through solve_pooling with a solve_mixed
-    fallback in the fully naive market; a non-baseline gamma routes to the
-    gamma solver and a non-baseline prior to the prior solver.
+    Every variant routes through solve_pooling; where pooling fails in the
+    baseline's fully naive market (lam = 0), the solve_mixed equilibrium is
+    reported if it exists.
     """
-    if params.gamma != 0.5:
-        outcome = solve_gamma(params)
-    elif params.mu0 != 0.5:
-        outcome = solve_prior(params)
-    else:
-        outcome = solve_pooling(params)
-        if outcome.kind == KIND_NONE and params.lam == 0.0:
-            mixed = solve_mixed(params)
-            if mixed.kind == KIND_MIXED:
-                outcome = mixed
+    outcome = solve_pooling(params)
+    if outcome.kind == KIND_NONE and params.lam == 0.0 and params.is_base_variant:
+        mixed = solve_mixed(params)
+        if mixed.kind == KIND_MIXED:
+            outcome = mixed
     if outcome.kind == KIND_POOLING:
         assert outcome.region is not None
         return outcome.region, outcome

@@ -56,6 +56,12 @@ class TestSolve:
         code, _ = run(capsys, "solve", "--h", "0.5:1:3", "--vb", "0.1")
         assert code == 2
 
+    def test_naive_market_with_free_gamma(self, capsys):
+        code, out = run(capsys, "solve", "--h", "0.7", "--gamma", "0.6")
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert row["kind"] == "pooling" and row["price"] == "0.442"
+
 
 class TestSweep:
     def test_row_order_is_grid_order(self, capsys):
@@ -179,6 +185,24 @@ class TestConfigAndErrors:
         code, _ = run(capsys, "sweep", "--h", "0.5:1:1", "--vb", "0.1")
         assert code == 2
 
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code = main(["solve", "--h", "0.7", "--out", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("splab: error:")
+
+    def test_grid_size_bounded_before_allocation(self, capsys):
+        code, _ = run(capsys, "sweep", "--h", "0.5:1:1001", "--lambda", "0:1:1001")
+        assert code == 2
+        # Building this axis would take terabytes; the bound must come first.
+        code, _ = run(capsys, "regions", "--h", "0.5:1:100000000000")
+        assert code == 2
+
+    def test_seed_offered_only_by_verify(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--h", "0.7", "--seed", "1"])
+        assert exc.value.code == 2
+
 
 class TestVerify:
     def test_quick_suite_passes(self, capsys):
@@ -187,3 +211,11 @@ class TestVerify:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 5
         assert all(l.startswith("PASS") for l in lines)
+
+    @pytest.mark.parametrize("flag,value", [("--draws", "0"), ("--seed", "-1")])
+    def test_bad_settings_exit_two_before_any_check(self, capsys, flag, value):
+        code = main(["verify", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("splab: error:")

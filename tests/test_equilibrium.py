@@ -27,6 +27,7 @@ from splab import (
     thresholds,
     w_bar,
 )
+from splab.equilibrium import _naive_candidate
 
 hs = st.floats(min_value=0.5, max_value=1.0, allow_nan=False)
 lams = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -216,8 +217,11 @@ class TestGammaExtension:
     def test_requires_gamma_variant_preconditions(self):
         with pytest.raises(UnsupportedVariantError):
             solve_gamma(ModelParams(h=0.9, lam=0.5, v_B=0.0, gamma=0.4))
-        with pytest.raises(UnsupportedVariantError):
-            solve_gamma(ModelParams(h=0.9, lam=0.0, v_B=0.1, gamma=0.4))
+        # A positive v_B in the naive market is solved, as the oracle prices it.
+        params = ModelParams(h=0.9, lam=0.0, v_B=0.1, gamma=0.4)
+        out = solve_gamma(params)
+        assert out.kind == "pooling"
+        assert out.price == grid_argmax(params, Quality.G)[0]
 
 
 class TestPriorExtension:
@@ -254,8 +258,48 @@ class TestPriorExtension:
     def test_requires_prior_variant_preconditions(self):
         with pytest.raises(UnsupportedVariantError):
             solve_prior(ModelParams(h=0.6, lam=0.5, v_B=0.0, mu0=0.7))
-        with pytest.raises(UnsupportedVariantError):
-            solve_prior(ModelParams(h=0.6, lam=0.0, v_B=0.0, gamma=0.3, mu0=0.7))
+        # A free gamma together with a free prior is solved, as the oracle prices it.
+        params = ModelParams(h=0.6, lam=0.0, v_B=0.0, gamma=0.3, mu0=0.7)
+        out = solve_prior(params)
+        assert out.kind == "pooling"
+        assert out.price == grid_argmax(params, Quality.G)[0]
+
+
+class TestNaiveMarket:
+    """solve_pooling in the fully naive market (lam = 0) at any gamma and mu0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        h=hs,
+        v=st.floats(min_value=0.0, max_value=0.95, allow_nan=False),
+        gamma=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        mu0=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_matches_grid_oracle(self, h, v, gamma, mu0):
+        params = ModelParams(h=h, lam=0.0, v_B=v, gamma=gamma, mu0=mu0)
+        cand = _naive_candidate(params)
+        price, profit = grid_argmax(params, Quality.G)
+        assert cand.price == price
+        assert abs(cand.profit_G - profit) <= 1e-12
+        out = solve_pooling(params)
+        assert (out.kind == "pooling") == (cand.profit_B >= v)
+        if out.kind == "pooling":
+            assert out.price == price
+
+    @settings(max_examples=300, deadline=None)
+    @given(h=st.floats(min_value=0.5 + 1e-6, max_value=1.0), v=vbs)
+    def test_agrees_with_five_rung_ladder_at_baseline(self, h, v):
+        # Away from h = 0.5, where rungs 1 and 2 share one price and the
+        # ladder's tie-break picks level 1, the two-rung argmax is the
+        # five-rung one.  profit_B is summed differently (1 - w_bar against
+        # the ladder's suffix masses), so it may differ in the last bit.
+        params = ModelParams(h=h, lam=0.0, v_B=v)
+        naive = _naive_candidate(params)
+        ladder = best_pooling_candidate(params)
+        assert (naive.price, naive.level, naive.profit_G) == (
+            ladder.price, ladder.level, ladder.profit_G
+        )
+        assert abs(naive.profit_B - ladder.profit_B) <= 1e-15
 
 
 class TestCompareMarkets:
@@ -324,6 +368,8 @@ class TestClassify:
         assert out.kind == "pooling" and label.startswith("R")
         label, out = classify_equilibrium(ModelParams(h=0.6, lam=0.0, v_B=0.0, mu0=0.7))
         assert out.kind == "pooling"
+        with pytest.raises(UnsupportedVariantError):
+            classify_equilibrium(ModelParams(h=0.7, lam=0.5, v_B=0.1, mu0=0.6))
 
     def test_mixed_fallback_in_naive_market(self):
         label, out = classify_equilibrium(ModelParams(h=1.0, lam=0.0, v_B=0.22))
