@@ -31,6 +31,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 from typing import Iterable, Optional, Sequence
 
@@ -38,6 +39,7 @@ import numpy as np
 
 from .demand import piecewise_profit
 from .equilibrium import (
+    _argmax_level,
     _level_profit_G,
     classify_equilibrium,
     compare_markets,
@@ -51,6 +53,7 @@ from .model import (
     UnsupportedVariantError,
 )
 from .oracle import (
+    bisect_threshold,
     check_no_separation,
     demand_by_enumeration,
     grid_argmax,
@@ -64,7 +67,10 @@ class UsageError(Exception):
 
 AXIS_ORDER = ("h", "lambda", "v_B", "gamma", "mu0")
 AXIS_DEFAULTS = {"lambda": 0.0, "v_B": 0.1, "gamma": 0.5, "mu0": 0.5}
-CONFIG_KEYS = set(AXIS_ORDER) | {"format", "out", "seed", "draws"}
+CONFIG_KEYS = set(AXIS_ORDER) | {"format", "out"}
+#: Seeded points at which `verify` compares the threshold closed forms with
+#: bisection on the ladder.
+THRESHOLD_POINTS = 8
 #: Largest grid (product of the axis step counts) a command will build; 4x
 #: the 501 x 501 maps the tool is meant for.
 MAX_GRID_POINTS = 10**6
@@ -342,7 +348,59 @@ def _check_no_separation(rng: np.random.Generator) -> tuple[bool, str]:
     return True, f"min mimicry margin over deviations = {worst:.3g}"
 
 
-def _check_threshold_certificates() -> tuple[bool, str]:
+def _bisected_level_boundary(lam: float, v_B: float, max_level: int) -> float:
+    """Where the ladder's argmax level leaves 1..max_level, by bisection on h.
+
+    The argmax at h = 0.5 is level 1; 1.0 when it is still at or below
+    max_level at h = 1.
+    """
+    if _argmax_level(1.0, lam, v_B) <= max_level:
+        return 1.0
+    lo, hi = 0.5, 1.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if _argmax_level(mid, lam, v_B) <= max_level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _bisection_gaps(params: ModelParams) -> list[float]:
+    """|thresholds() - bisection on the ladder| for the fields that have a
+    bisection route independent of the profit polynomials."""
+    ts = thresholds(params)
+    lam, v = params.lam, params.v_B
+    gaps = [
+        abs(ts.h_hat1 - _bisected_level_boundary(lam, v, 1)),
+        abs(ts.h_star - _bisected_level_boundary(lam, v, 2)),
+    ]
+    if ts.h_hat3 is not None:
+        gaps.append(abs(ts.h_hat3 - _bisected_level_boundary(lam, v, 3)))
+    lambda_hat2 = bisect_threshold(
+        lambda x: _level_profit_G(1.0, x, v, 3) - _level_profit_G(1.0, x, v, 4), (0.0, 1.0)
+    )
+    h_underline = bisect_threshold(
+        lambda h: _level_profit_G(h, 0.0, v, 2) - (1.0 + h) * (1.0 + v) / 4.0, (0.5, 1.0)
+    )
+    h_overline = bisect_threshold(
+        lambda h: 4.0 * (1.0 + h) * (1.0 + v)
+        - (1.0 + 2.0 * h) * (1.0 + 2.0 * h + v * (3.0 - 2.0 * h)),
+        (0.5, 1.0),
+    )
+    for got, want in (
+        (ts.lambda_hat2, lambda_hat2),
+        (ts.h_underline, h_underline),
+        (ts.h_overline, h_overline),
+    ):
+        if (got is None) != (want is None):
+            gaps.append(math.inf)
+        elif got is not None:
+            gaps.append(abs(got - want))
+    return gaps
+
+
+def _check_threshold_certificates(rng: np.random.Generator) -> tuple[bool, str]:
     params = ModelParams(h=0.7, lam=0.3, v_B=0.1)
     ts = thresholds(params)
     failures = []
@@ -354,7 +412,7 @@ def _check_threshold_certificates() -> tuple[bool, str]:
             _level_profit_G(value, lam, params.v_B, low)
             - _level_profit_G(value, lam, params.v_B, high)
         )
-        if gap > 1e-7:
+        if gap > 1e-12:
             failures.append(f"{name}: residual {gap:.3g}")
 
     # Region boundaries at this lambda tie adjacent optimal levels.
@@ -370,9 +428,16 @@ def _check_threshold_certificates() -> tuple[bool, str]:
         a > b + 1e-12 for a, b in zip(order, order[1:])
     ):
         failures.append(f"threshold ordering violated: {order}")
+    # The closed forms against bisection on the ladder at seeded points.
+    worst = max(
+        max(_bisection_gaps(_random_base_params(rng))) for _ in range(THRESHOLD_POINTS)
+    )
+    gap = f"max |closed form - bisection| = {worst:.3g} over {THRESHOLD_POINTS} seeded points"
+    if not worst <= 1e-9:
+        failures.append(gap)
     if failures:
         return False, "; ".join(failures)
-    return True, "tie residuals <= 1e-7 and ordering holds at v_B=0.1"
+    return True, f"{gap}; tie residuals <= 1e-12 and ordering holds at v_B=0.1"
 
 
 def _check_monte_carlo(rng: np.random.Generator, draws: int, seed: int) -> tuple[bool, str]:
@@ -405,11 +470,13 @@ def _run_verify(args) -> int:
     if seed < 0:
         raise UsageError(f"--seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
+    # Its own stream, so the other checks draw the points they always drew.
+    thresholds_rng = np.random.default_rng([seed, 1])
     checks = [
         ("oracle-vs-solver price agreement", lambda: _check_oracle_agreement(rng)),
         ("piecewise profit identity", lambda: _check_piecewise_identity(rng)),
         ("no-separation witnesses", lambda: _check_no_separation(rng)),
-        ("threshold certificates", _check_threshold_certificates),
+        ("threshold certificates", lambda: _check_threshold_certificates(thresholds_rng)),
         ("Monte-Carlo demand", lambda: _check_monte_carlo(rng, draws, seed)),
     ]
     all_ok = True
@@ -435,6 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("thresholds", "threshold dump at one parameter point"),
         ("verify", "run the oracle verification suite"),
     ):
+        if name == "verify":
+            # No prefix matching, so --h is refused rather than read as --help.
+            p = sub.add_parser(name, help=helptext, allow_abbrev=False)
+            p.add_argument("--seed", type=int, help="seed for the verification suite")
+            p.add_argument("--draws", type=int, help="Monte-Carlo draws per check")
+            continue
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON file with parameter/output keys")
         p.add_argument("--h", dest="h", help="precision: scalar or min:max:steps")
@@ -444,45 +517,53 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu0", dest="mu0", help="prior Pr(G): scalar or range")
         p.add_argument("--out", help="output file (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-        if name == "verify":
-            p.add_argument("--seed", type=int, help="seed for the verification suite")
-            p.add_argument("--draws", type=int, help="Monte-Carlo draws per check")
     return parser
+
+
+def _run_command(args) -> int:
+    config = _load_config(args.config)
+    if args.format is None:
+        config_format = config.get("format")
+        if config_format is not None:
+            if config_format not in ("csv", "json"):
+                raise UsageError(f"config format must be csv or json, got {config_format!r}")
+            args.format = config_format
+    if args.out is None:
+        args.out = config.get("out")
+    axes = _resolve_axes(args, config)
+    if args.command == "solve":
+        if any(len(values) > 1 for values in axes.values()):
+            raise UsageError("solve takes scalar parameters; use sweep for grids")
+        rows, columns = _solve_rows(axes), SOLVE_COLUMNS
+    elif args.command == "sweep":
+        rows, columns = _solve_rows(axes), SOLVE_COLUMNS
+    elif args.command == "regions":
+        rows, columns = _region_rows(axes), REGION_COLUMNS
+    elif args.command == "compare":
+        rows, columns = _compare_rows(axes), COMPARE_COLUMNS
+    else:  # thresholds
+        rows = _threshold_rows(axes)
+        columns = tuple(rows[0].keys())
+    _write_rows(rows, columns, args)
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return _run_verify(args)
-        config = _load_config(args.config)
-        if args.format is None:
-            config_format = config.get("format")
-            if config_format is not None:
-                if config_format not in ("csv", "json"):
-                    raise UsageError(f"config format must be csv or json, got {config_format!r}")
-                args.format = config_format
-        if args.out is None:
-            args.out = config.get("out")
-        axes = _resolve_axes(args, config)
-        if args.command == "solve":
-            if any(len(values) > 1 for values in axes.values()):
-                raise UsageError("solve takes scalar parameters; use sweep for grids")
-            rows, columns = _solve_rows(axes), SOLVE_COLUMNS
-        elif args.command == "sweep":
-            rows, columns = _solve_rows(axes), SOLVE_COLUMNS
-        elif args.command == "regions":
-            rows, columns = _region_rows(axes), REGION_COLUMNS
-        elif args.command == "compare":
-            rows, columns = _compare_rows(axes), COMPARE_COLUMNS
-        else:  # thresholds
-            rows = _threshold_rows(axes)
-            columns = tuple(rows[0].keys())
-        _write_rows(rows, columns, args)
-        return 0
+        code = _run_verify(args) if args.command == "verify" else _run_command(args)
+        sys.stdout.flush()
+        return code
     except (UsageError, ParameterError, UnsupportedVariantError) as exc:
         print(f"splab: error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (say, `| head`): an I/O error.  Point
+        # stdout at the null device so the interpreter's last flush of the
+        # unwritten buffer cannot raise again on the way out.
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -17,14 +17,20 @@ yield at most v_B -- that is what reduces the deviation audit to the single
 profit_B >= v_B comparison.  Other variants (lam > 0 off the baseline) are
 not covered and raise UnsupportedVariantError.
 
-Comparative-statics thresholds (the switch points of profit in h, lambda,
-gamma, and the prior) are computed by bisection on profit differences; the
-few closed forms available are reserved for tests.
+Comparative-statics thresholds in the baseline come from exact roots.  Each
+WTP level's profit_G is quadratic in h and linear in lam, so every pairwise
+tie is a quadratic root in h (cancellation-free form) or a linear root in
+lam, and h_underline, h_overline and v_bar have closed forms.  Only the two
+three-way ties lambda_hat1 and lambda_hat3, which have none, bisect over
+those closed-form roots.  The extension thresholds (gamma, prior) still
+bisect.  The tests and `splab verify` check the engine against bisection on
+the ladder itself.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -45,8 +51,6 @@ from .oracle import bisect_threshold
 KIND_POOLING = "pooling"
 KIND_MIXED = "mixed"
 KIND_NONE = "none"
-
-_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -245,8 +249,11 @@ def solve_mixed(params: ModelParams) -> EquilibriumOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Profit helpers shared by the threshold machinery.
+# Threshold engine: each level's profit_G as an exact polynomial.
 # ---------------------------------------------------------------------------
+
+#: c0 + c1*x + c2*x**2; in h-direction polynomials x is t = h - 0.5.
+Quadratic = tuple[float, float, float]
 
 
 def _schedule(h: float, lam: float, v_B: float) -> WtpSchedule:
@@ -254,7 +261,7 @@ def _schedule(h: float, lam: float, v_B: float) -> WtpSchedule:
 
 
 def _level_profit_G(h: float, lam: float, v_B: float, level: int) -> float:
-    """High-type profit from pricing at WTP level `level` (1..5)."""
+    """High-type profit from pricing at WTP level `level` (1..5), off the ladder."""
     sched = _schedule(h, lam, v_B)
     return sched.levels[level - 1].wtp * sched.coverage_G[level - 1]
 
@@ -264,41 +271,131 @@ def _argmax_level(h: float, lam: float, v_B: float) -> int:
     return cand.level if cand.level is not None else 1
 
 
-def _level_boundary(lam: float, v_B: float, max_level: int, tol: float = _TOL) -> float:
-    """Largest h at which the profit argmax still sits at or below max_level.
+@lru_cache(maxsize=256)
+def _profit_polys(v_B: float) -> tuple[tuple[Quadratic, Quadratic], ...]:
+    """Level k's profit_G as A_k(t) + lam * B_k(t), t = h - 0.5, k = 1..5.
 
-    The argmax level is non-decreasing in h (the price ladder is climbed
-    monotonically), so the set {h : level <= max_level} is an interval
-    [0.5, boundary] and a predicate bisection finds its edge.  This stays
-    well defined when intermediate levels are skipped, which is exactly what
-    makes it the right engine for h*.
+    Every WTP rung is linear in h and every coverage is linear in h and lam,
+    so each level's profit is quadratic in h and linear in lam.  A and B
+    interpolate the ladder itself at h in {0.5, 0.75, 1} and lam in {0, 1},
+    which keeps the arithmetic in build_wtp_schedule; A_k(0) and B_k(0) are
+    the ladder's own values at h = 0.5.
     """
-    if _argmax_level(1.0, lam, v_B) <= max_level:
-        return 1.0
-    lo, hi = 0.5, 1.0  # level at h=0.5 is 1: predicate true at lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _argmax_level(mid, lam, v_B) <= max_level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    rows = [[_schedule(0.5 + t, lam, v_B) for t in (0.0, 0.25, 0.5)] for lam in (0.0, 1.0)]
+    polys = []
+    for k in range(5):
+        at_0, at_1 = (
+            _interpolate([s.levels[k].wtp * s.coverage_G[k] for s in row]) for row in rows
+        )
+        polys.append((at_0, _sub(at_1, at_0)))
+    return tuple(polys)
+
+
+def _interpolate(y: list[float]) -> Quadratic:
+    """The quadratic in t through (0, y0), (1/4, y1) and (1/2, y2)."""
+    y0, y1, y2 = y
+    return (y0, -6.0 * y0 + 8.0 * y1 - 2.0 * y2, 8.0 * (y0 - 2.0 * y1 + y2))
+
+
+def _sub(p: Quadratic, q: Quadratic) -> Quadratic:
+    return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
+
+
+def _eval(q: Quadratic, x: float) -> float:
+    return q[0] + x * (q[1] + x * q[2])
+
+
+def _profits_at(lam: float, v_B: float) -> list[Quadratic]:
+    """The five levels' profit_G at this lam, as quadratics in t = h - 0.5."""
+    return [
+        (a[0] + lam * b[0], a[1] + lam * b[1], a[2] + lam * b[2])
+        for a, b in _profit_polys(v_B)
+    ]
+
+
+def _poly_profit_G(h: float, lam: float, v_B: float, level: int) -> float:
+    a, b = _profit_polys(v_B)[level - 1]
+    return _eval(a, h - 0.5) + lam * _eval(b, h - 0.5)
+
+
+def _roots(q: Quadratic) -> list[float]:
+    """Real roots of q, from the cancellation-free quadratic formula.
+
+    The larger-magnitude root comes from -(c1 + sign(c1) sqrt(D))/2, the
+    other from Vieta's c0/(c2 x1), so neither subtracts nearly equal numbers
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., §1.8).
+    """
+    c0, c1, c2 = q
+    if c2 == 0.0:
+        return [] if c1 == 0.0 else [-c0 / c1]
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    s = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    if s == 0.0:  # c0 = c1 = 0
+        return [0.0]
+    return [s / c2, c0 / s]
+
+
+def _bracketed_root(q: Quadratic, lo: float, hi: float) -> Optional[float]:
+    """Root of q on [lo, hi] under bisect_threshold's rules.
+
+    A zero at lo or hi is returned as is; no sign change gives None.  With a
+    sign change exactly one root lies inside; rounding can put it a hair
+    outside (or the discriminant a hair below 0), so the nearest candidate
+    is clamped into the bracket.
+    """
+    f_lo, f_hi = _eval(q, lo), _eval(q, hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        return None
+    candidates = _roots(q) or [-q[1] / (2.0 * q[2])]
+    root = min(candidates, key=lambda r: max(lo - r, r - hi, 0.0))
+    return min(max(root, lo), hi)
 
 
 def _tie_h(lam: float, v_B: float, low: int, high: int) -> Optional[float]:
     """h at which the level-`high` profit overtakes the level-`low` profit."""
-    return bisect_threshold(
-        lambda h: _level_profit_G(h, lam, v_B, low) - _level_profit_G(h, lam, v_B, high),
-        (0.5, 1.0),
-    )
+    profits = _profits_at(lam, v_B)
+    t = _bracketed_root(_sub(profits[low - 1], profits[high - 1]), 0.0, 0.5)
+    return None if t is None else 0.5 + t
 
 
 def _tie_lambda(h: float, v_B: float, low: int, high: int) -> Optional[float]:
     """lambda at which the level-`low` and level-`high` profits cross."""
-    return bisect_threshold(
-        lambda lam: _level_profit_G(h, lam, v_B, low) - _level_profit_G(h, lam, v_B, high),
-        (0.0, 1.0),
-    )
+    polys = _profit_polys(v_B)
+    a, b = _sub(polys[low - 1][0], polys[high - 1][0]), _sub(polys[low - 1][1], polys[high - 1][1])
+    return _bracketed_root((_eval(a, h - 0.5), _eval(b, h - 0.5), 0.0), 0.0, 1.0)
+
+
+def _level_boundary(lam: float, v_B: float, max_level: int) -> float:
+    """Smallest h above which the profit argmax leaves levels 1..max_level.
+
+    That is the left end of the first interval of (0.5, 1) on which some
+    level above max_level strictly beats every level at or below it (ties
+    go to the lower level, as in best_pooling_candidate), or 1.0 when the
+    argmax at h = 1 is still at or below max_level.  The interval edges are
+    the roots of P_i - P_j for i <= max_level < j; between two edges no
+    such difference changes sign, so one test at the midpoint decides the
+    whole interval.  Nothing here assumes the argmax rises monotonically
+    in h: the first switch is found even if a later one switches back.
+    """
+    if _argmax_level(1.0, lam, v_B) <= max_level:
+        return 1.0
+    profits = _profits_at(lam, v_B)
+    edges = {0.0, 0.5}
+    for low in profits[:max_level]:
+        for high in profits[max_level:]:
+            edges.update(r for r in _roots(_sub(low, high)) if 0.0 < r < 0.5)
+    ordered = sorted(edges)
+    for left, right in zip(ordered, ordered[1:]):
+        values = [_eval(q, 0.5 * (left + right)) for q in profits]
+        if max(values[max_level:]) > max(values[:max_level]):
+            return 0.5 + left
+    return 1.0
 
 
 class _StructureConstants(NamedTuple):
@@ -314,11 +411,13 @@ def _structure_constants(v_B: float) -> _StructureConstants:
     """The lambda-axis tie points and the two interior peaks of the region map.
 
     lambda_hat2: at h=1, where the mid-price (level 3) overtakes the
-        naive-good price (level 4).
+        naive-good price (level 4); a linear root.
     lambda_hat1: where levels 2, 3, 4 tie three ways -- located by sliding
         along the level-3/4 tie curve until level 2 stops dominating.
     lambda_hat3: where levels 1, 2, 3 tie three ways -- same idea on the
         level-1/2 tie curve.
+    The two three-way ties have no closed form, so an outer bisection runs
+    over the closed-form inner ties.
     """
     eps = 1e-6
     lambda_hat2 = _tie_lambda(1.0, v_B, 3, 4)
@@ -326,12 +425,12 @@ def _structure_constants(v_B: float) -> _StructureConstants:
     def excess_2_over_34(lam: float) -> float:
         t = _tie_h(lam, v_B, 3, 4)
         assert t is not None
-        return _level_profit_G(t, lam, v_B, 2) - _level_profit_G(t, lam, v_B, 3)
+        return _poly_profit_G(t, lam, v_B, 2) - _poly_profit_G(t, lam, v_B, 3)
 
     def excess_1_over_3_at_12(lam: float) -> float:
         t = _tie_h(lam, v_B, 1, 2)
         assert t is not None
-        return _level_profit_G(t, lam, v_B, 1) - _level_profit_G(t, lam, v_B, 3)
+        return _poly_profit_G(t, lam, v_B, 1) - _poly_profit_G(t, lam, v_B, 3)
 
     lambda_hat1 = None
     if lambda_hat2 is not None:
@@ -352,7 +451,7 @@ def _lambda_bar(h: float, v_B: float, consts: _StructureConstants) -> Optional[f
     (level 1) catches the partial-coverage price (level 2); in the middle
     band where level 2 catches level 3; at the top where level 3 catches the
     naive-good price (level 4).  Each pairwise profit difference is linear
-    in lambda, so the bisection brackets are honest.
+    in lambda, so each is one linear root.
     """
     if h <= 0.5:
         return 0.0
@@ -411,47 +510,27 @@ class ThresholdSet:
         return json.dumps(self.to_dict())
 
 
-@lru_cache(maxsize=256)
-def _v_bar() -> Optional[float]:
-    """Existence boundary for v_B: where the worst-case low-type pooling
-    profit at h=1 (over lambda) exactly equals the deviation payoff v_B.
-
-    The worst case over lambda sits at the level-3/4 switch lambda_hat2, on
-    the level-4 side, so the margin is that branch's profit minus v_B;
-    bisection on the margin gives the boundary.
-    """
-
-    def margin(v: float) -> float:
-        lh2 = _tie_lambda(1.0, v, 3, 4)
-        assert lh2 is not None
-        sched = _schedule(1.0, lh2, v)
-        return sched.levels[3].wtp * sched.coverage_B[3] - v
-
-    return bisect_threshold(margin, (1e-9, 0.25))
+#: Existence boundary for v_B: where the worst-case low-type pooling profit
+#: at h = 1 (over lambda) equals the deviation payoff v_B.  The worst case
+#: sits at the level-3/4 switch lambda_hat2 on the level-4 side, and that
+#: branch's profit (3+v)/4 * (1-lambda_hat2)/4 = v has the root below.
+_V_BAR = (4.0 * math.sqrt(2.0) - 5.0) / 7.0
 
 
-def _h_underline(v_B: float) -> Optional[float]:
-    """h where the naive market's full-coverage profit meets the
-    sophisticated market's mid-price profit (1+h)(1+v_B)/4."""
-
-    def diff(h: float) -> float:
-        sched = _schedule(h, 0.0, v_B)
-        return sched.levels[1].wtp - (1.0 + h) * (1.0 + v_B) / 4.0
-
-    return bisect_threshold(diff, (0.5, 1.0))
+def _h_underline(v_B: float) -> float:
+    """h where the naive market's full-coverage profit v_B + (3-2h)(1-v_B)/4
+    meets the sophisticated market's mid-price profit (1+h)(1+v_B)/4, i.e.
+    h(3-v_B) = 2; it lies in [2/3, 1) for every v_B in [0, 1)."""
+    return 2.0 / (3.0 - v_B)
 
 
 def _h_overline(v_B: float) -> Optional[float]:
     """h where the naive market's high-price profit overtakes the
     sophisticated market's mid-price profit: the root of
-    4(1+h)(1+v_B) = (1+2h)(1+2h+v_B(3-2h))."""
-
-    def diff(h: float) -> float:
-        return 4.0 * (1.0 + h) * (1.0 + v_B) - (1.0 + 2.0 * h) * (
-            1.0 + 2.0 * h + v_B * (3.0 - 2.0 * h)
-        )
-
-    return bisect_threshold(diff, (0.5, 1.0))
+    4(1+h)(1+v_B) = (1+2h)(1+2h+v_B(3-2h)), i.e. 4h^2(1-v_B) = 3+v_B.
+    Absent (None) when that root exceeds 1, i.e. v_B above 1/5."""
+    root = math.sqrt((3.0 + v_B) / (4.0 * (1.0 - v_B)))
+    return root if root <= 1.0 else None
 
 
 def thresholds(params: ModelParams) -> ThresholdSet:
@@ -467,20 +546,16 @@ def thresholds(params: ModelParams) -> ThresholdSet:
     consts = _structure_constants(v)
 
     h_star = _level_boundary(lam, v, 2)
-    h_hat1 = _level_boundary(lam, v, 1)
-    h_hat2 = _with_existence(_level_boundary(lam, v, 2), lam, v, level=2)
-    h_hat3 = _with_existence(_level_boundary(lam, v, 3), lam, v, level=3)
-
     return ThresholdSet(
         h_star=h_star,
-        h_hat1=h_hat1,
-        h_hat2=h_hat2,
-        h_hat3=h_hat3,
+        h_hat1=_level_boundary(lam, v, 1),
+        h_hat2=_with_existence(h_star, lam, v, level=2),
+        h_hat3=_with_existence(_level_boundary(lam, v, 3), lam, v, level=3),
         lambda_hat1=consts.lambda_hat1,
         lambda_hat2=consts.lambda_hat2,
         lambda_hat3=consts.lambda_hat3,
         lambda_bar=_lambda_bar(params.h, v, consts),
-        v_bar=_v_bar(),
+        v_bar=_V_BAR,
         h_underline=_h_underline(v),
         h_overline=_h_overline(v),
     )

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +173,13 @@ class TestConfigAndErrors:
         code, _ = run(capsys, "solve", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["seed", "draws"])
+    def test_verify_settings_are_not_config_keys(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": 0.7, key: 1}))
+        code, _ = run(capsys, "solve", "--config", str(cfg))
+        assert code == 2
+
     def test_missing_h_rejected(self, capsys):
         code, _ = run(capsys, "solve", "--vb", "0.1")
         assert code == 2
@@ -219,3 +230,37 @@ class TestVerify:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("splab: error:")
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--config", "cfg.json"), ("--h", "0.7"), ("--lambda", "0.3"),
+            ("--vb", "0.1"), ("--gamma", "0.5"), ("--mu0", "0.5"),
+            ("--out", "out.csv"), ("--format", "csv"),
+        ],
+    )
+    def test_takes_only_seed_and_draws(self, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", flag, value])
+        assert exc.value.code == 2
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_two_without_traceback(self):
+        # The read end is closed before the process starts, so its first
+        # write to stdout fails with EPIPE whatever the timing.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")])}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "splab.cli", "sweep", "--h", "0.5:1:101"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert b"Exception ignored" not in proc.stderr

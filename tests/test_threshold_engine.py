@@ -1,0 +1,100 @@
+"""The closed-form threshold engine against the bisection reference.
+
+`thresholds()` takes every tie from an exact quadratic or linear root of the
+levels' profit polynomials; `bisection_thresholds` finds the same numbers by
+bisection on the ladder.  Fields must agree within 1e-9 with the same None
+pattern, and the ties the engine reports must hold on the ladder itself.
+"""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import bisection_thresholds as reference
+from splab import ModelParams, build_wtp_schedule, thresholds
+from splab.equilibrium import _bracketed_root, _eval, _roots
+from splab.oracle import bisect_threshold
+
+FIELDS = (
+    "h_star", "h_hat1", "h_hat2", "h_hat3",
+    "lambda_hat1", "lambda_hat2", "lambda_hat3", "lambda_bar",
+    "v_bar", "h_underline", "h_overline", "v_bar_prime",
+)
+
+
+def _profits(h: float, lam: float, v_B: float) -> list[float]:
+    sched = build_wtp_schedule(ModelParams(h=h, lam=lam, v_B=v_B))
+    return [lvl.wtp * cov for lvl, cov in zip(sched.levels, sched.coverage_G)]
+
+
+def _boundary_residual(h: float, lam: float, v_B: float, max_level: int) -> float:
+    """|best profit at levels 1..max_level - best profit above| at h."""
+    p = _profits(h, lam, v_B)
+    return abs(max(p[:max_level]) - max(p[max_level:]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    h=st.floats(min_value=0.5, max_value=1.0),
+    lam=st.floats(min_value=0.0, max_value=1.0),
+    v_B=st.floats(min_value=0.0, max_value=0.95, exclude_max=True),
+)
+@example(h=0.5, lam=0.0, v_B=0.0)
+@example(h=1.0, lam=1.0, v_B=0.0)
+@example(h=0.5, lam=1.0, v_B=0.3)
+@example(h=1.0, lam=0.0, v_B=0.9)
+@example(h=0.7, lam=0.3, v_B=0.2)
+def test_agrees_with_bisection_and_ties_hold(h, lam, v_B):
+    params = ModelParams(h=h, lam=lam, v_B=v_B)
+    got, want = thresholds(params), reference.thresholds(params)
+    for name in FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), (name, a, b)
+        if a is not None:
+            assert abs(a - b) <= 1e-9, (name, a, b)
+
+    for name, max_level in (("h_star", 2), ("h_hat1", 1), ("h_hat2", 2), ("h_hat3", 3)):
+        value = getattr(got, name)
+        if value is not None and value < 1.0:
+            assert _boundary_residual(value, lam, v_B, max_level) <= 1e-12, name
+    pair = reference.lambda_bar_pair(h, v_B)
+    if got.lambda_bar is not None and pair is not None:
+        p = _profits(h, got.lambda_bar, v_B)
+        assert abs(p[pair[0] - 1] - p[pair[1] - 1]) <= 1e-12
+
+
+def test_direct_formulas():
+    for v in (0.0, 0.1, 0.2, 0.5):
+        ts = thresholds(ModelParams(h=0.7, lam=0.3, v_B=v))
+        assert ts.h_underline == 2.0 / (3.0 - v)
+        assert ts.v_bar == (4.0 * math.sqrt(2.0) - 5.0) / 7.0
+    assert thresholds(ModelParams(h=0.7, lam=0.3, v_B=0.0)).h_overline == math.sqrt(3.0) / 2.0
+    assert thresholds(ModelParams(h=0.7, lam=0.3, v_B=0.21)).h_overline is None
+
+
+@pytest.mark.parametrize(
+    "q,bracket",
+    [
+        ((-0.37, 1.0, 0.0), (0.0, 1.0)),   # linear
+        ((0.0, 1.0, 1.0), (0.0, 0.5)),     # zero at the left end
+        ((-0.25, 0.0, 1.0), (0.0, 0.5)),   # zero at the right end
+        ((0.3, 1.0, 1.0), (0.0, 0.5)),     # no sign change
+        ((0.2, -1.0, 0.5), (0.0, 0.5)),    # root near 0.2254
+    ],
+)
+def test_bracketed_root_keeps_bisection_rules(q, bracket):
+    got = _bracketed_root(q, *bracket)
+    want = bisect_threshold(lambda x: _eval(q, x), bracket)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_roots_are_cancellation_free():
+    # c2 is tiny, so the textbook formula (-c1 + sqrt(D)) / (2 c2) loses every
+    # digit of the root near 0.3 to cancellation.
+    q = (-0.3, 1.0, 1e-18)
+    root = min(_roots(q), key=abs)
+    assert root == pytest.approx(0.3, rel=1e-15)
+    assert abs(_eval(q, root)) <= 1e-16
