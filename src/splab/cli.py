@@ -149,6 +149,9 @@ def _load_config(path: Optional[str]) -> dict:
     unknown = set(config) - CONFIG_KEYS
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    out = config.get("out")
+    if out is not None and not isinstance(out, str):
+        raise UsageError(f"config out must be a file name, got {out!r}")
     return config
 
 
@@ -345,7 +348,7 @@ def _check_no_separation(rng: np.random.Generator) -> tuple[bool, str]:
         if report.separation_possible:
             return False, f"separation witness failed at {params.to_dict()}"
         worst = min(worst, report.min_margin)
-    return True, f"min mimicry margin over deviations = {worst:.3g}"
+    return True, f"min margin of the breaking deviations = {worst:.3g}"
 
 
 def _bisected_level_boundary(lam: float, v_B: float, max_level: int) -> float:

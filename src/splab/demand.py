@@ -23,7 +23,7 @@ its two naive WTPs directly, so non-baseline parameters are rejected here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 from .model import (
     ModelParams,
@@ -59,13 +59,7 @@ class WtpLevel:
     consumer_label: str
 
     def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "wtp": self.wtp,
-            "mass_G": self.mass_G,
-            "mass_B": self.mass_B,
-            "consumer_label": self.consumer_label,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -173,19 +167,17 @@ class PiecewiseProfit:
 
     Breakpoints are the five WTP values; multipliers[k] is the demand on the
     segment ending at breakpoints[k].  Above the top breakpoint profit is 0.
+    Both are read off the schedule they came from, and multiplier_at looks
+    prices up in that schedule through expected_demand.
     """
 
     quality: Quality
     breakpoints: tuple[float, ...]
     multipliers: tuple[float, ...]
+    _schedule: WtpSchedule = field(repr=False, compare=False)
 
     def multiplier_at(self, price: float) -> float:
-        if not 0.0 <= price <= 1.0:
-            raise ParameterError(f"price must lie in [0, 1], got {price}")
-        for bp, mult in zip(self.breakpoints, self.multipliers):
-            if price <= bp:
-                return mult
-        return 0.0
+        return expected_demand(self._schedule, price, self.quality)
 
     def profit(self, price: float) -> float:
         return price * self.multiplier_at(price)
@@ -201,11 +193,11 @@ class PiecewiseProfit:
 def piecewise_profit(params: ModelParams, quality: Quality) -> PiecewiseProfit:
     """Piecewise profit function for one quality, sharing the schedule's floats.
 
-    The multipliers are the schedule's suffix masses, so profit(p) equals
-    p * expected_demand(schedule, p, quality) exactly, not merely to
-    rounding.  Their closed forms (for Q=G: 1, 1-(1-h)*lam/2,
-    (1+2h)/4 + lam/4, (1+2h)/4 - lam/4, h*lam/2) hold to float tolerance and
-    are asserted in tests rather than re-derived here.
+    The multipliers are the schedule's suffix masses, and profit(p) is
+    p * expected_demand(schedule, p, quality), the same lookup.  Their
+    closed forms (for Q=G: 1, 1-(1-h)*lam/2, (1+2h)/4 + lam/4,
+    (1+2h)/4 - lam/4, h*lam/2) hold to float tolerance and are asserted in
+    tests rather than re-derived here.
     """
     schedule = build_wtp_schedule(params)
     coverage = schedule.coverage_G if quality is Quality.G else schedule.coverage_B
@@ -213,4 +205,5 @@ def piecewise_profit(params: ModelParams, quality: Quality) -> PiecewiseProfit:
         quality=quality,
         breakpoints=schedule.wtps(),
         multipliers=coverage,
+        _schedule=schedule,
     )

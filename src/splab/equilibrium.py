@@ -22,16 +22,17 @@ WTP level's profit_G is quadratic in h and linear in lam, so every pairwise
 tie is a quadratic root in h (cancellation-free form) or a linear root in
 lam, and h_underline, h_overline and v_bar have closed forms.  Only the two
 three-way ties lambda_hat1 and lambda_hat3, which have none, bisect over
-those closed-form roots.  The extension thresholds (gamma, prior) still
-bisect.  The tests and `splab verify` check the engine against bisection on
-the ladder itself.
+those closed-form roots.  The precision-mix thresholds (gamma_switch,
+gamma_thresholds) are radicals too; only the prior thresholds (hstar_prior,
+prior_mu_lower) still bisect.  The tests and `splab verify` check the engine
+against bisection on the ladder itself.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -73,17 +74,7 @@ class EquilibriumOutcome:
     note: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "price": self.price,
-            "low_price": self.low_price,
-            "alpha": self.alpha,
-            "profit_G": self.profit_G,
-            "profit_B": self.profit_B,
-            "region": self.region,
-            "candidate_level": self.candidate_level,
-            "note": self.note,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -433,7 +424,9 @@ def _structure_constants(v_B: float) -> _StructureConstants:
         return _poly_profit_G(t, lam, v_B, 1) - _poly_profit_G(t, lam, v_B, 3)
 
     lambda_hat1 = None
-    if lambda_hat2 is not None:
+    # Absent, like the other thresholds, once lambda_hat2 leaves no bracket
+    # (v_B within about 5e-6 of 1).
+    if lambda_hat2 is not None and eps < lambda_hat2 - eps:
         lambda_hat1 = bisect_threshold(
             excess_2_over_34, (eps, lambda_hat2 - eps)
         )
@@ -491,20 +484,7 @@ class ThresholdSet:
     v_bar_prime: float = field(default=5.0 / 9.0)
 
     def to_dict(self) -> dict:
-        return {
-            "h_star": self.h_star,
-            "h_hat1": self.h_hat1,
-            "h_hat2": self.h_hat2,
-            "h_hat3": self.h_hat3,
-            "lambda_hat1": self.lambda_hat1,
-            "lambda_hat2": self.lambda_hat2,
-            "lambda_hat3": self.lambda_hat3,
-            "lambda_bar": self.lambda_bar,
-            "v_bar": self.v_bar,
-            "h_underline": self.h_underline,
-            "h_overline": self.h_overline,
-            "v_bar_prime": self.v_bar_prime,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -580,35 +560,35 @@ def _with_existence(
 # ---------------------------------------------------------------------------
 
 
+_SQRT5 = math.sqrt(5.0)
+
+
 def gamma_switch(h: float) -> Optional[float]:
     """gamma at which the good-signal price overtakes full coverage (v_B=0).
 
-    Root of w_bar^2 = 1 - w_bar in gamma; absent (None) when full coverage
-    dominates for every gamma, i.e. h at or below (sqrt(5)-1)/2.
+    The good-signal profit w_bar^2 meets full coverage 1 - w_bar where
+    w_bar = 1/2 + gamma(h - 1/2) equals (sqrt(5)-1)/2, i.e. at
+    gamma = (sqrt(5)-2)/(2h-1).  Absent (None) when that exceeds 1, i.e.
+    for h below (sqrt(5)-1)/2 (full coverage wins for every gamma), and at
+    h = 1/2, where w_bar does not move with gamma.
     """
     if not 0.5 <= h <= 1.0:
         raise ParameterError(f"h must lie in [0.5, 1], got {h}")
-
-    def diff(gamma: float) -> float:
-        wb = gamma * h + (1.0 - gamma) * 0.5
-        return wb * wb - (1.0 - wb)
-
-    return bisect_threshold(diff, (0.0, 1.0))
+    if h == 0.5:
+        return None
+    gamma = (_SQRT5 - 2.0) / (2.0 * h - 1.0)
+    return gamma if gamma <= 1.0 else None
 
 
 def gamma_thresholds() -> tuple[float, float]:
     """(h_low, h_high) for the gamma extension at v_B = 0.
 
     Below h_low the full-coverage price wins for every gamma; above h_high
-    the good-signal price wins for every gamma >= 0.5.  These are the roots
-    of 1 - h = h^2 and (3-2h)/4 = ((1+2h)/4)^2.
+    the good-signal price wins for every gamma >= 0.5.  They are the roots
+    in [0.5, 1] of 1 - h = h^2 and (3-2h)/4 = ((1+2h)/4)^2, namely
+    (sqrt(5)-1)/2 and sqrt(5) - 3/2.
     """
-    h_low = bisect_threshold(lambda h: (1.0 - h) - h * h, (0.5, 1.0))
-    h_high = bisect_threshold(
-        lambda h: (3.0 - 2.0 * h) / 4.0 - ((1.0 + 2.0 * h) / 4.0) ** 2, (0.5, 1.0)
-    )
-    assert h_low is not None and h_high is not None
-    return h_low, h_high
+    return (_SQRT5 - 1.0) / 2.0, _SQRT5 - 1.5
 
 
 def hstar_prior(v_B: float, mu0: float) -> Optional[float]:
@@ -663,13 +643,7 @@ class ComparisonReport:
     sophisticated: EquilibriumOutcome
 
     def to_dict(self) -> dict:
-        return {
-            "preferred_by_G": self.preferred_by_G,
-            "preferred_by_B": self.preferred_by_B,
-            "profit_gaps": dict(self.profit_gaps),
-            "naive": self.naive.to_dict(),
-            "sophisticated": self.sophisticated.to_dict(),
-        }
+        return asdict(self)
 
 
 def compare_markets(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -128,14 +128,7 @@ class SimReport:
     se_profit: float
 
     def to_dict(self) -> dict:
-        return {
-            "draws": self.draws,
-            "seed": self.seed,
-            "est_demand": self.est_demand,
-            "se_demand": self.se_demand,
-            "est_profit": self.est_profit,
-            "se_profit": self.se_profit,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -218,12 +211,16 @@ def simulate_market(
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """Witness that no separating equilibrium survives low-type mimicry.
+    """Witness that no separating equilibrium survives a profitable deviation.
 
     In a candidate separating profile the high type's price p_G reveals
-    quality, so a mimicking low type faces believers (posterior 1, WTP 1)
-    and sells to everyone: mimicry profit is p_G itself, which beats the
-    honest revealing profit v_B whenever p_G > v_B.
+    quality and the low type earns its honest revealing profit v_B.  For
+    each revealing price in `prices` (all above v_B) the low type mimics
+    p_G: every consumer then believes the product is good, and
+    mimic_profits holds what it earns.  A revealing price at or below v_B
+    is broken by the high type instead, whose best off-path price under
+    signal-based beliefs earns more than v_B.  min_margin is the smallest
+    gain of the breaking deviation over the profit it gives up.
     """
 
     v_B: float
@@ -234,30 +231,32 @@ class SeparationReport:
     separation_possible: bool
 
     def to_dict(self) -> dict:
-        return {
-            "v_B": self.v_B,
-            "prices": list(self.prices),
-            "mimic_profits": list(self.mimic_profits),
-            "honest_profit": self.honest_profit,
-            "min_margin": self.min_margin,
-            "separation_possible": self.separation_possible,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
 
 def check_no_separation(params: ModelParams, points: int = 101) -> SeparationReport:
-    """Evaluate the mimicry deviation at a grid of candidate revealing prices.
+    """Evaluate the deviation that breaks each candidate separating profile.
 
-    Candidate prices sweep (v_B, 1]; every one must strictly beat v_B for
-    the mimicking low type, which rules separation out.
+    Revealing prices p_G in (v_B, 1]: the low type's mimic profit, from the
+    eight cells with every belief set to 1, must strictly beat v_B.
+    Revealing prices p_G <= v_B: the high type's best deviation under
+    signal-based beliefs (grid_argmax) must strictly beat p_G, and so beat
+    v_B, the largest such price.  Separation is ruled out when every one of
+    these deviations pays.
     """
     v = params.v_B
-    prices = tuple(v + (1.0 - v) * k / points for k in range(1, points + 1))
-    # Full demand at a believed-good price: every consumer's WTP is v_G = 1.
-    mimic = tuple(p * 1.0 for p in prices)
-    margins = [m - v for m in mimic]
+    # min: the top price can round one ulp past v_G = 1, where nobody buys.
+    prices = tuple(min(v + (1.0 - v) * k / points, 1.0) for k in range(1, points + 1))
+    believing = [
+        (prob, wtp_from_posterior(1.0, params))
+        for prob, _ in consumer_cells(params, Quality.B)
+    ]
+    mimic = tuple(p * sum(prob for prob, wtp in believing if p <= wtp) for p in prices)
+    _, deviation = grid_argmax(params, Quality.G)
+    margins = [m - v for m in mimic] + [deviation - v]
     return SeparationReport(
         v_B=v,
         prices=prices,

@@ -180,6 +180,16 @@ class TestConfigAndErrors:
         code, _ = run(capsys, "solve", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize("out", [5, True, ["a"]])
+    def test_config_out_must_be_a_file_name(self, tmp_path, capsys, out):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": 0.7, "out": out}))
+        code = main(["solve", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("splab: error:")
+
     def test_missing_h_rejected(self, capsys):
         code, _ = run(capsys, "solve", "--vb", "0.1")
         assert code == 2

@@ -4,6 +4,8 @@
 levels' profit polynomials; `bisection_thresholds` finds the same numbers by
 bisection on the ladder.  Fields must agree within 1e-9 with the same None
 pattern, and the ties the engine reports must hold on the ladder itself.
+`gamma_switch`'s radical is checked the same way against bisection on its
+defining difference.
 """
 
 import math
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bisection_thresholds as reference
-from splab import ModelParams, build_wtp_schedule, thresholds
+from splab import ModelParams, build_wtp_schedule, gamma_switch, thresholds
 from splab.equilibrium import _bracketed_root, _eval, _roots
 from splab.oracle import bisect_threshold
 
@@ -98,3 +100,31 @@ def test_roots_are_cancellation_free():
     root = min(_roots(q), key=abs)
     assert root == pytest.approx(0.3, rel=1e-15)
     assert abs(_eval(q, root)) <= 1e-16
+
+
+def test_lambda_hat1_absent_when_lambda_hat2_leaves_no_bracket():
+    # lambda_hat2 falls below 2e-6 once v_B is within about 5e-6 of 1.
+    ts = thresholds(ModelParams(h=0.7, lam=0.3, v_B=0.9999999))
+    assert ts.lambda_hat1 is None
+    assert 0.0 < ts.lambda_hat2 < 2e-6
+
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.floats(min_value=0.5, max_value=1.0))
+@example(h=0.5)
+@example(h=math.nextafter(GOLDEN, 0.0))
+@example(h=GOLDEN)
+@example(h=math.nextafter(GOLDEN, 1.0))
+@example(h=1.0)
+def test_gamma_switch_agrees_with_bisection(h):
+    def diff(gamma: float) -> float:
+        wb = gamma * h + (1.0 - gamma) * 0.5
+        return wb * wb - (1.0 - wb)
+
+    got, want = gamma_switch(h), bisect_threshold(diff, (0.0, 1.0))
+    assert (got is None) == (want is None), (got, want)
+    if got is not None:
+        assert abs(got - want) <= 1e-9
