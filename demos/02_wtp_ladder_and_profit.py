@@ -8,7 +8,7 @@ pooled price is always one of the rungs.
 
 import numpy as np
 
-from splab import ModelParams, Quality, build_wtp_schedule, piecewise_profit
+from splab import ModelParams, Quality, build_wtp_schedule, expected_demand
 
 params = ModelParams(h=0.8, lam=0.5, v_B=0.1)
 sched = build_wtp_schedule(params)
@@ -26,9 +26,8 @@ for k, lv in enumerate(sched.levels):
         f"D|B = {sched.coverage_B[k]:.4f}, profit|G = {lv.wtp * sched.coverage_G[k]:.4f}"
     )
 
-profile = piecewise_profit(params, Quality.G)
 grid = np.linspace(0.0, 1.0, 2001)
-profits = np.array([profile.profit(float(p)) for p in grid])
+profits = np.array([p * expected_demand(sched, p, Quality.G) for p in grid.tolist()])
 best = int(np.argmax(profits))
 print()
 print(f"grid scan of p*D(p): best price {grid[best]:.4f}, profit {profits[best]:.4f}")

@@ -3,17 +3,18 @@
 A monopolist of privately known quality (good or bad) sets one price.
 Consumers hold a common prior, observe private signals of heterogeneous
 precision, and differ in whether they notice the precision (sophisticated)
-or only the signal's valence (naive).  The package computes posterior
-beliefs, willingness-to-pay schedules, piecewise expected profits, the
-pooling / mixed-strategy equilibria of the pricing game, and the
-comparative-statics thresholds in signal precision, consumer sophistication,
-precision mix, and prior -- each cross-checked against a brute-force oracle
-(grid search plus Monte-Carlo simulation) that shares no algebra with the
-analytic path.
+or only the signal's valence (naive).  The good product's value and the low
+signal precision are fixed by the model (``splab.model.V_G = 1`` and
+``splab.model.L = 0.5``); everything else is a ModelParams field.  The
+package computes posterior beliefs, willingness-to-pay schedules and the
+expected demand they induce, the pooling / mixed-strategy equilibria of
+the pricing game, and the comparative-statics thresholds in signal
+precision, consumer sophistication, precision mix, and prior -- each
+cross-checked against a brute-force oracle (grid search plus Monte-Carlo
+simulation) that shares no algebra with the analytic path.
 """
 
 from .model import (
-    BeliefProfile,
     ConsumerType,
     ModelParams,
     ParameterError,
@@ -23,7 +24,6 @@ from .model import (
     SIGNALS,
     UnsupportedVariantError,
     Valence,
-    belief_profile,
     posterior_naive,
     posterior_sophisticated,
     posterior_with_prior,
@@ -32,12 +32,10 @@ from .model import (
     wtp_from_posterior,
 )
 from .demand import (
-    PiecewiseProfit,
     WtpLevel,
     WtpSchedule,
     build_wtp_schedule,
     expected_demand,
-    piecewise_profit,
 )
 from .oracle import (
     GridSpec,
@@ -71,14 +69,12 @@ from .equilibrium import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeliefProfile",
     "ComparisonReport",
     "ConsumerType",
     "EquilibriumOutcome",
     "GridSpec",
     "ModelParams",
     "ParameterError",
-    "PiecewiseProfit",
     "PoolingCandidate",
     "Precision",
     "Quality",
@@ -91,7 +87,6 @@ __all__ = [
     "Valence",
     "WtpLevel",
     "WtpSchedule",
-    "belief_profile",
     "best_pooling_candidate",
     "bisect_threshold",
     "build_wtp_schedule",
@@ -104,7 +99,6 @@ __all__ = [
     "gamma_thresholds",
     "grid_argmax",
     "hstar_prior",
-    "piecewise_profit",
     "posterior_naive",
     "posterior_sophisticated",
     "posterior_with_prior",

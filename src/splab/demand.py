@@ -1,4 +1,4 @@
-"""Willingness-to-pay schedule, expected demand, and piecewise profit.
+"""Willingness-to-pay schedule and expected demand.
 
 In the symmetric baseline (gamma = 0.5, mu0 = 0.5) the population sorts into
 five willingness-to-pay levels, ordered low to high:
@@ -13,7 +13,8 @@ The mass at each level depends on the true quality because quality tilts the
 signal distribution: a good product pushes mass up the schedule, a bad one
 pushes it down.  Expected demand at a price is the total mass at or above
 that price (consumers buy when indifferent), which makes expected profit
-piecewise linear in price with kinks exactly at the five WTP values.
+p * expected_demand(schedule, p, quality) piecewise linear in price with
+kinks exactly at the five WTP values.
 
 This module builds the ladder for the baseline variant only.  Off the
 baseline the equilibrium module prices the fully naive market (lam = 0) from
@@ -23,7 +24,7 @@ its two naive WTPs directly, so non-baseline parameters are rejected here.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .model import (
     ModelParams,
@@ -68,17 +69,14 @@ class WtpSchedule:
 
     coverage_G[k] (0-indexed) is the total Q=G mass at level k+1 and above,
     i.e. expected demand at any price in (wtp_k-1, wtp_k].  Storing the
-    suffix sums once guarantees that demand and piecewise profit evaluate
-    through identical floats.
+    suffix sums once guarantees that every demand lookup and every rung's
+    profit evaluate through identical floats.
     """
 
     params: ModelParams
     levels: tuple[WtpLevel, ...]
     coverage_G: tuple[float, ...]
     coverage_B: tuple[float, ...]
-
-    def wtps(self) -> tuple[float, ...]:
-        return tuple(lvl.wtp for lvl in self.levels)
 
     def to_dict(self) -> dict:
         return {
@@ -95,7 +93,7 @@ def build_wtp_schedule(params: ModelParams) -> WtpSchedule:
 
     Raises UnsupportedVariantError unless gamma = 0.5 and mu0 = 0.5.
     """
-    if params.gamma != 0.5 or params.mu0 != 0.5:
+    if not params.is_base_variant:
         raise UnsupportedVariantError(
             "the five-level WTP schedule exists only for the symmetric "
             f"baseline (gamma=0.5, mu0=0.5); got gamma={params.gamma}, "
@@ -159,51 +157,3 @@ def expected_demand(schedule: WtpSchedule, price: float, quality: Quality) -> fl
         if price <= lvl.wtp:
             return coverage[k]
     return 0.0
-
-
-@dataclass(frozen=True)
-class PiecewiseProfit:
-    """Expected profit p * demand(p) as an explicit step-linear function.
-
-    Breakpoints are the five WTP values; multipliers[k] is the demand on the
-    segment ending at breakpoints[k].  Above the top breakpoint profit is 0.
-    Both are read off the schedule they came from, and multiplier_at looks
-    prices up in that schedule through expected_demand.
-    """
-
-    quality: Quality
-    breakpoints: tuple[float, ...]
-    multipliers: tuple[float, ...]
-    _schedule: WtpSchedule = field(repr=False, compare=False)
-
-    def multiplier_at(self, price: float) -> float:
-        return expected_demand(self._schedule, price, self.quality)
-
-    def profit(self, price: float) -> float:
-        return price * self.multiplier_at(price)
-
-    def to_dict(self) -> dict:
-        return {
-            "quality": self.quality.value,
-            "breakpoints": list(self.breakpoints),
-            "multipliers": list(self.multipliers),
-        }
-
-
-def piecewise_profit(params: ModelParams, quality: Quality) -> PiecewiseProfit:
-    """Piecewise profit function for one quality, sharing the schedule's floats.
-
-    The multipliers are the schedule's suffix masses, and profit(p) is
-    p * expected_demand(schedule, p, quality), the same lookup.  Their
-    closed forms (for Q=G: 1, 1-(1-h)*lam/2, (1+2h)/4 + lam/4,
-    (1+2h)/4 - lam/4, h*lam/2) hold to float tolerance and are asserted in
-    tests rather than re-derived here.
-    """
-    schedule = build_wtp_schedule(params)
-    coverage = schedule.coverage_G if quality is Quality.G else schedule.coverage_B
-    return PiecewiseProfit(
-        quality=quality,
-        breakpoints=schedule.wtps(),
-        multipliers=coverage,
-        _schedule=schedule,
-    )

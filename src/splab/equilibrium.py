@@ -90,7 +90,7 @@ class PoolingCandidate(NamedTuple):
 
 
 def _require_base(params: ModelParams, op: str) -> None:
-    if params.gamma != 0.5 or params.mu0 != 0.5:
+    if not params.is_base_variant:
         raise UnsupportedVariantError(
             f"{op} covers the symmetric baseline only (gamma=0.5, mu0=0.5); "
             f"got gamma={params.gamma}, mu0={params.mu0}"
@@ -602,25 +602,25 @@ def hstar_prior(v_B: float, mu0: float) -> Optional[float]:
     return bisect_threshold(diff, (0.5, 1.0))
 
 
-def prior_mu_lower(h: float, v_B: float, scan_points: int = 2001) -> float:
+def prior_mu_lower(h: float, v_B: float) -> float:
     """Smallest prior above which pooling survives for every larger prior.
 
     The existence margin profit_B - v_B can dip negative on an interior
     band of priors (the high-price region with thin good-signal demand).
-    There is no closed form; locate the margin's minimum by scanning, then
-    bisect on the increasing side.  Returns 0.0 when pooling holds for every
-    prior.
+    There is no closed form; locate the margin's minimum by scanning 2001
+    evenly spaced priors, then bisect on the increasing side.  Returns 0.0
+    when pooling holds for every prior.
     """
 
     def margin(mu0: float) -> float:
         cand = _naive_candidate(ModelParams(h=h, lam=0.0, v_B=v_B, mu0=mu0))
         return cand.profit_B - v_B
 
-    grid = [k / (scan_points - 1) for k in range(scan_points)]
+    grid = [k / 2000 for k in range(2001)]
     margins = [margin(m) for m in grid]
     if all(m >= 0.0 for m in margins):
         return 0.0
-    worst = min(range(scan_points), key=lambda k: margins[k])
+    worst = min(range(len(grid)), key=lambda k: margins[k])
     root = bisect_threshold(margin, (grid[worst], 1.0))
     assert root is not None  # margin at mu0=1 is 1 - v_B > 0
     return root

@@ -1,16 +1,17 @@
 """Primitives for a market where buyers learn product quality from noisy reviews.
 
 A monopolist sells a product of binary quality ``Q`` (good ``G`` with value
-``v_G = 1`` or bad ``B`` with value ``v_B < 1``).  Each consumer privately
+``V_G = 1`` or bad ``B`` with value ``v_B < 1``).  Each consumer privately
 observes one signal about quality.  A signal has a valence (good/bad news)
 and a precision ``w``: with probability ``gamma`` the precision is high
-(``w = h``) and otherwise low (``w = l = 0.5``, pure noise).  A signal of
-precision ``w`` carries the correct valence with probability ``w``.
+(``w = h``) and otherwise low (``w = L = 0.5``, pure noise).  A signal of
+precision ``w`` carries the correct valence with probability ``w``.  The
+model fixes ``V_G`` and ``L``, so they are module constants, not parameters.
 
 Consumers differ in what they can see.  A *sophisticated* consumer observes
 both valence and precision and updates beliefs on the pair.  A *naive*
 consumer observes only the valence and updates as if every signal had the
-average precision ``w_bar = gamma*h + (1-gamma)*l``.  A fraction ``lambda``
+average precision ``w_bar = gamma*h + (1-gamma)*L``.  A fraction ``lambda``
 of the population is sophisticated.
 
 Everything downstream (demand schedules, equilibrium pricing, oracles) is
@@ -34,6 +35,12 @@ class UnsupportedVariantError(ValueError):
     """The operation does not cover this model variant (e.g. gamma != 0.5)."""
 
 
+#: Low signal precision: a low-precision signal is pure noise.
+L = 0.5
+#: Value of the good-quality product; v_B is measured against it.
+V_G = 1.0
+
+
 class Quality(enum.Enum):
     """True product quality."""
 
@@ -49,7 +56,7 @@ class Valence(enum.Enum):
 
 
 class Precision(enum.Enum):
-    """Reliability tier of a signal: high (w = h) or low (w = l = 0.5)."""
+    """Reliability tier of a signal: high (w = h) or low (w = L = 0.5)."""
 
     HIGH = "h"
     LOW = "l"
@@ -67,9 +74,6 @@ class Signal(NamedTuple):
 
     valence: Valence
     precision: Precision
-
-    def label(self) -> str:
-        return f"{self.valence.value}{self.precision.value}"
 
 
 #: The four possible signals, in a fixed canonical order.
@@ -92,8 +96,6 @@ class ModelParams:
     v_B    -- value of the bad-quality product, in [0, 1).
     gamma  -- probability a signal has high precision, in (0, 1).
     mu0    -- common prior that quality is good, in [0, 1].
-    l      -- low signal precision; the solvable model pins l = 0.5.
-    v_G    -- value of the good-quality product; pinned to 1.
     """
 
     h: float
@@ -101,27 +103,18 @@ class ModelParams:
     v_B: float
     gamma: float = 0.5
     mu0: float = 0.5
-    l: float = 0.5
-    v_G: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("h", "lam", "v_B", "gamma", "mu0", "l", "v_G"):
+        for name in ("h", "lam", "v_B", "gamma", "mu0"):
             value = getattr(self, name)
             object.__setattr__(self, name, float(value))
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
-        if self.l != 0.5:
-            raise ParameterError(
-                f"low precision is pinned to l = 0.5 (no closed forms exist "
-                f"for l = {self.l})"
-            )
-        if self.v_G != 1.0:
-            raise ParameterError(f"v_G is pinned to 1.0, got {self.v_G}")
         if not 0.5 <= self.h <= 1.0:
             raise ParameterError(f"h must lie in [0.5, 1], got {self.h}")
         if not 0.0 <= self.lam <= 1.0:
             raise ParameterError(f"lam must lie in [0, 1], got {self.lam}")
-        if not 0.0 <= self.v_B < self.v_G:
+        if not 0.0 <= self.v_B < V_G:
             raise ParameterError(f"v_B must lie in [0, 1), got {self.v_B}")
         if not 0.0 < self.gamma < 1.0:
             raise ParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
@@ -144,13 +137,13 @@ class ModelParams:
 
 
 def w_bar(params: ModelParams) -> float:
-    """Average signal precision, gamma*h + (1-gamma)*l.
+    """Average signal precision, gamma*h + (1-gamma)*L.
 
     This is both the precision a naive consumer imputes to every signal and
     the unconditional probability that a signal's valence matches quality.
     At gamma = 0.5 it equals (1 + 2h)/4.
     """
-    return params.gamma * params.h + (1.0 - params.gamma) * params.l
+    return params.gamma * params.h + (1.0 - params.gamma) * L
 
 
 def signal_distribution(params: ModelParams, quality: Quality) -> dict[Signal, float]:
@@ -162,7 +155,7 @@ def signal_distribution(params: ModelParams, quality: Quality) -> dict[Signal, f
     out: dict[Signal, float] = {}
     for signal in SIGNALS:
         p_prec = params.gamma if signal.precision is Precision.HIGH else 1.0 - params.gamma
-        w = params.h if signal.precision is Precision.HIGH else params.l
+        w = params.h if signal.precision is Precision.HIGH else L
         matches = (signal.valence is Valence.GOOD) == (quality is Quality.G)
         out[signal] = p_prec * (w if matches else 1.0 - w)
     return out
@@ -185,9 +178,9 @@ def posterior_sophisticated(params: ModelParams, signal: Signal) -> float:
     """Belief Pr(G | signal) of a consumer who sees valence and precision.
 
     At mu0 = 0.5 this is h for (good, high), 1-h for (bad, high), and 0.5
-    for either low-precision signal (l = 0.5 is uninformative).
+    for either low-precision signal (L = 0.5 is uninformative).
     """
-    w = params.h if signal.precision is Precision.HIGH else params.l
+    w = params.h if signal.precision is Precision.HIGH else L
     if signal.valence is Valence.GOOD:
         like_G, like_B = w, 1.0 - w
     else:
@@ -223,23 +216,10 @@ def posterior_with_prior(
     return posterior_sophisticated(params, signal)
 
 
-# Posterior of every (consumer type, signal) cell.
-BeliefProfile = dict[tuple[ConsumerType, Signal], float]
-
-
-def belief_profile(params: ModelParams) -> BeliefProfile:
-    """Posterior of every (consumer type, signal) cell."""
-    return {
-        (consumer, signal): posterior_with_prior(params, consumer, signal)
-        for consumer in ConsumerType
-        for signal in SIGNALS
-    }
-
-
 def wtp_from_posterior(mu: float, params: ModelParams) -> float:
-    """Willingness to pay of a consumer with belief mu: mu*v_G + (1-mu)*v_B.
+    """Willingness to pay of a consumer with belief mu: mu*V_G + (1-mu)*v_B.
 
     All modules derive prices from posteriors through this one function so
     that analytically equal willingness-to-pay values are bitwise equal.
     """
-    return mu * params.v_G + (1.0 - mu) * params.v_B
+    return mu * V_G + (1.0 - mu) * params.v_B

@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .model import (
+    L,
     SIGNALS,
     ConsumerType,
     ModelParams,
@@ -184,7 +185,7 @@ def simulate_market(
         u = _batch_uniforms(seed, done, count)
         soph = u[:, 0] < params.lam
         high = u[:, 1] < params.gamma
-        w = np.where(high, params.h, params.l)
+        w = np.where(high, params.h, L)
         match = u[:, 2] < w
         # The valence agrees with the true quality exactly when it "matches".
         good = match if quality is Quality.G else ~match
@@ -237,19 +238,19 @@ class SeparationReport:
         return json.dumps(self.to_dict())
 
 
-def check_no_separation(params: ModelParams, points: int = 101) -> SeparationReport:
+def check_no_separation(params: ModelParams) -> SeparationReport:
     """Evaluate the deviation that breaks each candidate separating profile.
 
-    Revealing prices p_G in (v_B, 1]: the low type's mimic profit, from the
-    eight cells with every belief set to 1, must strictly beat v_B.
-    Revealing prices p_G <= v_B: the high type's best deviation under
-    signal-based beliefs (grid_argmax) must strictly beat p_G, and so beat
-    v_B, the largest such price.  Separation is ruled out when every one of
-    these deviations pays.
+    Revealing prices p_G on 101 even steps of (v_B, 1]: the low type's mimic
+    profit, from the eight cells with every belief set to 1, must strictly
+    beat v_B.  Revealing prices p_G <= v_B: the high type's best deviation
+    under signal-based beliefs (grid_argmax) must strictly beat p_G, and so
+    beat v_B, the largest such price.  Separation is ruled out when every
+    one of these deviations pays.
     """
     v = params.v_B
-    # min: the top price can round one ulp past v_G = 1, where nobody buys.
-    prices = tuple(min(v + (1.0 - v) * k / points, 1.0) for k in range(1, points + 1))
+    # min: the top price can round one ulp past V_G = 1, where nobody buys.
+    prices = tuple(min(v + (1.0 - v) * k / 101, 1.0) for k in range(1, 102))
     believing = [
         (prob, wtp_from_posterior(1.0, params))
         for prob, _ in consumer_cells(params, Quality.B)

@@ -31,7 +31,6 @@ from splab import (
     gamma_switch,
     grid_argmax,
     hstar_prior,
-    piecewise_profit,
     simulate_market,
     solve_gamma,
     solve_mixed,
@@ -252,7 +251,8 @@ def test_criterion_05_mixing_band():
 
 @criterion(6)
 def test_criterion_06_solver_oracle_agreement():
-    """Grid argmax matches the solver exactly; piecewise profit matches p*D."""
+    """Grid argmax matches the solver exactly; the ladder's profit p*D(p)
+    matches p times the eight-cell enumeration's demand."""
     rng = np.random.default_rng(601)
     mismatches = 0
     for _ in range(1000):
@@ -280,12 +280,10 @@ def test_criterion_06_solver_oracle_agreement():
         )
         sched = build_wtp_schedule(params)
         for quality in Quality:
-            profile = piecewise_profit(params, quality)
-            for p in rng.uniform(0.0, 1.0, size=2):
-                p = float(p)
-                gap = abs(
-                    profile.profit(p) - p * expected_demand(sched, p, quality)
-                )
+            prices = rng.uniform(0.0, 1.0, size=2)
+            enumerated = demand_by_enumeration(params, quality, prices)
+            for p, demand in zip(prices.tolist(), enumerated.tolist()):
+                gap = abs(p * expected_demand(sched, p, quality) - p * demand)
                 worst = max(worst, gap)
     if mismatches == 0 and worst <= 1e-12:
         return True, (

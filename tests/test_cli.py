@@ -1,6 +1,7 @@
 """End-to-end tests of the splab command line."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import splab.cli
 from splab.cli import main
+
+VERIFY_GOLDEN = Path(__file__).resolve().parent / "data" / "verify_seed0.txt"
 
 
 def run(capsys, *args):
@@ -144,6 +148,21 @@ class TestCompare:
         row = next(csv.DictReader(io.StringIO(out)))
         assert set(row.values()) == {"0.5", "0.55"}
 
+    def test_lambda_rejected(self, tmp_path, capsys):
+        # compare fixes lambda at 0 and 1, so a given lambda is an error.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": "0.5:1:3", "lambda": 0.5}))
+        for args in (
+            ["compare", "--h", "0.5:1:3", "--lambda", "0:1:4"],
+            ["compare", "--h", "0.5:1:3", "--lambda", "0"],
+            ["compare", "--config", str(cfg)],
+        ):
+            code = main(args)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("splab: error:")
+
 
 class TestThresholdsCommand:
     def test_single_object_row(self, capsys):
@@ -232,6 +251,28 @@ class TestVerify:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 5
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_output_matches_golden(self, capsys):
+        code, out = run(capsys, "verify", "--seed", "0", "--draws", "20000")
+        assert code == 0
+        assert out == VERIFY_GOLDEN.read_text(encoding="utf-8")
+
+    def test_failing_check_leaves_later_checks_their_points(self, capsys, monkeypatch):
+        real = splab.cli.check_no_separation
+
+        def failing(params):
+            return dataclasses.replace(real(params), separation_possible=True)
+
+        monkeypatch.setattr(splab.cli, "check_no_separation", failing)
+        code, out = run(capsys, "verify", "--seed", "0", "--draws", "20000")
+        assert code == 3
+        assert "FAIL: no-separation witnesses" in out
+
+        def monte_carlo(text):
+            return [l for l in text.splitlines() if "Monte-Carlo demand" in l]
+
+        golden = VERIFY_GOLDEN.read_text(encoding="utf-8")
+        assert monte_carlo(out) == monte_carlo(golden)
 
     @pytest.mark.parametrize("flag,value", [("--draws", "0"), ("--seed", "-1")])
     def test_bad_settings_exit_two_before_any_check(self, capsys, flag, value):

@@ -1,4 +1,4 @@
-"""Unit tests for WTP schedules, demand, and piecewise profit."""
+"""Unit tests for WTP schedules, demand, and the piecewise profit p * D(p)."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,8 @@ from splab import (
     Quality,
     UnsupportedVariantError,
     build_wtp_schedule,
+    demand_by_enumeration,
     expected_demand,
-    piecewise_profit,
 )
 
 hs = st.floats(min_value=0.5, max_value=1.0, allow_nan=False)
@@ -108,8 +108,8 @@ class TestExpectedDemand:
 
 class TestPiecewiseProfit:
     def test_multiplier_worked_example(self):
-        profile = piecewise_profit(ModelParams(h=0.9, lam=0.5, v_B=0.0), Quality.B)
-        assert profile.multiplier_at(0.5) == pytest.approx(0.425, abs=1e-12)
+        sched = build_wtp_schedule(ModelParams(h=0.9, lam=0.5, v_B=0.0))
+        assert expected_demand(sched, 0.5, Quality.B) == pytest.approx(0.425, abs=1e-12)
 
     @given(h=hs, lam=lams, v=vbs)
     def test_multipliers_match_closed_forms(self, h, lam, v):
@@ -132,35 +132,31 @@ class TestPiecewiseProfit:
         assert list(sched.coverage_G) == pytest.approx(list(good), abs=1e-12)
         assert list(sched.coverage_B) == pytest.approx(list(bad), abs=1e-12)
 
+    # The ladder's profit p * D(p) against the eight-cell enumeration, which
+    # shares the posteriors but not the masses or the step lookup.
     @settings(max_examples=200)
     @given(h=hs, lam=lams, v=vbs, p=prices)
     def test_exact_agreement_with_expected_demand(self, h, lam, v, p):
         params = ModelParams(h=h, lam=lam, v_B=v)
         sched = build_wtp_schedule(params)
         for quality in Quality:
-            profile = piecewise_profit(params, quality)
-            assert profile.profit(p) == p * expected_demand(sched, p, quality)
+            enumerated = demand_by_enumeration(params, quality, p)
+            assert abs(p * expected_demand(sched, p, quality) - p * enumerated) <= 1e-12
 
     def test_exact_agreement_at_breakpoints(self):
         params = ModelParams(h=0.83, lam=0.41, v_B=0.17)
         sched = build_wtp_schedule(params)
+        wtps = np.array([lv.wtp for lv in sched.levels])
         for quality in Quality:
-            profile = piecewise_profit(params, quality)
-            for lv in sched.levels:
-                p = lv.wtp
-                assert profile.profit(p) == p * expected_demand(sched, p, quality)
-
-    def test_breakpoints_are_the_wtps(self):
-        params = ModelParams(h=0.77, lam=0.3, v_B=0.05)
-        sched = build_wtp_schedule(params)
-        profile = piecewise_profit(params, Quality.G)
-        assert list(profile.breakpoints) == [lv.wtp for lv in sched.levels]
+            enumerated = demand_by_enumeration(params, quality, wtps)
+            for p, demand in zip(wtps.tolist(), enumerated.tolist()):
+                assert abs(p * expected_demand(sched, p, quality) - p * demand) <= 1e-12
 
     def test_degenerate_single_piece_at_half(self):
-        profile = piecewise_profit(ModelParams(h=0.5, lam=0.3, v_B=0.2), Quality.G)
+        sched = build_wtp_schedule(ModelParams(h=0.5, lam=0.3, v_B=0.2))
         # All breakpoints collapse; demand is one below 0.6 and zero above.
-        assert profile.multiplier_at(0.59) == pytest.approx(1.0, abs=1e-15)
-        assert profile.multiplier_at(np.nextafter(0.6, 1.0)) == 0.0
+        assert expected_demand(sched, 0.59, Quality.G) == pytest.approx(1.0, abs=1e-15)
+        assert expected_demand(sched, np.nextafter(0.6, 1.0), Quality.G) == 0.0
 
 
 class TestSerialization:

@@ -15,7 +15,6 @@ from splab import (
     Signal,
     UnsupportedVariantError,
     Valence,
-    belief_profile,
     posterior_naive,
     posterior_sophisticated,
     posterior_with_prior,
@@ -127,12 +126,19 @@ class TestPosteriors:
 
 class TestBeliefProfile:
     def test_eight_cells_and_naive_ignores_precision(self):
+        # At h = 0.85 naive consumers impute w_bar = 0.675 to every signal.
         params = base(0.85)
-        profile = belief_profile(params)
-        assert len(profile) == 2 * len(SIGNALS)
+        expected = {
+            ConsumerType.SOPHISTICATED: {GH: 0.85, BH: 0.15, GL: 0.5, BL: 0.5},
+            ConsumerType.NAIVE: {GH: 0.675, BH: 0.325, GL: 0.675, BL: 0.325},
+        }
+        for consumer in ConsumerType:
+            for signal in SIGNALS:
+                got = posterior_with_prior(params, consumer, signal)
+                assert got == pytest.approx(expected[consumer][signal], abs=1e-15)
         for valence in Valence:
-            hi = profile[(ConsumerType.NAIVE, Signal(valence, Precision.HIGH))]
-            lo = profile[(ConsumerType.NAIVE, Signal(valence, Precision.LOW))]
+            hi = posterior_with_prior(params, ConsumerType.NAIVE, Signal(valence, Precision.HIGH))
+            lo = posterior_with_prior(params, ConsumerType.NAIVE, Signal(valence, Precision.LOW))
             assert hi == lo
 
 
@@ -175,9 +181,10 @@ class TestValidation:
             ModelParams(**kwargs)
 
     def test_pinned_constants_rejected(self):
-        with pytest.raises(ParameterError):
+        # L = 0.5 and V_G = 1 are constants of the model, not parameters.
+        with pytest.raises(TypeError):
             ModelParams(h=0.8, lam=0.0, v_B=0.0, l=0.4)
-        with pytest.raises(ParameterError):
+        with pytest.raises(TypeError):
             ModelParams(h=0.8, lam=0.0, v_B=0.0, v_G=0.9)
 
     def test_to_dict_uses_lambda_key(self):
