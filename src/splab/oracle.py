@@ -5,6 +5,12 @@ recomputed by brute-force enumeration of the eight (consumer type, signal)
 cells straight from the model primitives, and by Monte-Carlo sampling of
 individual consumers, so agreement with the analytic solver is evidence
 rather than tautology.
+
+The enumeration sums the cells once per call into a step table: the
+sorted distinct WTPs and the demand on each step between them.  Prices
+are looked up in that table, and the grid argmax scores every point of a
+cached uniform mesh, and separately every candidate price in range,
+against it.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,40 +47,68 @@ def consumer_cells(params: ModelParams, quality: Quality) -> list[tuple[float, f
     type's posterior.  This is the raw object every oracle computation sums
     over.
     """
+    dist = signal_distribution(params, quality)
     cells: list[tuple[float, float]] = []
     for consumer in (ConsumerType.NAIVE, ConsumerType.SOPHISTICATED):
         share = params.lam if consumer is ConsumerType.SOPHISTICATED else 1.0 - params.lam
-        dist = signal_distribution(params, quality)
         for signal in SIGNALS:
             mu = posterior_with_prior(params, consumer, signal)
             cells.append((share * dist[signal], wtp_from_posterior(mu, params)))
     return cells
 
 
-def demand_by_enumeration(params: ModelParams, quality: Quality, price):
-    """Expected demand at `price` by direct summation over the eight cells.
+def _demand_steps(params: ModelParams, quality: Quality) -> tuple[np.ndarray, np.ndarray]:
+    """Demand as a step function: the sorted distinct WTPs and each step's demand.
 
-    `price` may be a scalar or an ndarray; consumers buy when WTP >= price.
+    steps[j] is the demand at every price in (wtps[j-1], wtps[j]], and the
+    last entry, 0.0, the demand above the top WTP.  Each step adds the
+    probabilities of the cells that cover it in cell order, so it is the
+    float that summing the eight cells one by one at such a price gives
+    (an explicit loop: `sum` compensates its rounding from Python 3.12).
+    """
+    cells = consumer_cells(params, quality)
+    wtps = sorted({wtp for _, wtp in cells})
+    steps = []
+    for step_wtp in wtps:
+        total = 0.0
+        for prob, wtp in cells:
+            if step_wtp <= wtp:
+                total += prob
+        steps.append(total)
+    steps.append(0.0)
+    return np.array(wtps), np.array(steps)
+
+
+def demand_by_enumeration(params: ModelParams, quality: Quality, price):
+    """Expected demand at `price`, summed over the eight cells.
+
+    `price` may be a scalar or an ndarray with every entry in [0, 1];
+    consumers buy when WTP >= price, so each price reads the step of the
+    lowest WTP at or above it.
     """
     prices = np.asarray(price, dtype=float)
-    if np.any(prices < 0.0) or np.any(prices > 1.0):
+    if not np.all((prices >= 0.0) & (prices <= 1.0)):
         raise ParameterError("price must lie in [0, 1]")
-    total = np.zeros_like(prices)
-    for prob, wtp in consumer_cells(params, quality):
-        total += prob * (prices <= wtp)
+    wtps, steps = _demand_steps(params, quality)
+    total = steps[np.searchsorted(wtps, prices, side="left")]
     if np.ndim(price) == 0:
         return float(total)
     return total
+
+
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer; False for bool, floats and the rest."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Price grid for brute-force profit maximization.
 
-    The effective grid is the uniform mesh *unioned with* the candidate
-    prices (the five WTP values and v_B), so the analytic argmax is always a
-    grid member bit-exactly and agreement checks can demand equality, not
-    closeness.
+    The effective grid is the uniform mesh together with the candidate
+    prices (the distinct WTP values and v_B) that lie in its range, so the
+    analytic argmax is always a grid member bit-exactly and agreement checks
+    can demand equality, not closeness.
     """
 
     price_min: float = 0.0
@@ -89,16 +124,38 @@ class GridSpec:
             raise ParameterError("grid needs finite price_min < price_max")
         if not (0.0 <= self.price_min <= 1.0 and 0.0 <= self.price_max <= 1.0):
             raise ParameterError("grid prices must lie in [0, 1]")
+        if not _is_int(self.points):
+            raise ParameterError(f"grid points must be an int, got {self.points!r}")
         if self.points < 2:
             raise ParameterError("grid needs at least 2 points")
 
 
-def _grid_prices(params: ModelParams, quality: Quality, grid: GridSpec) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _mesh(grid: GridSpec) -> np.ndarray:
+    """The uniform mesh of `grid`, built once and shared read-only."""
     mesh = np.linspace(grid.price_min, grid.price_max, grid.points)
-    candidates = {wtp for _, wtp in consumer_cells(params, quality)}
-    candidates.add(params.v_B)
-    in_range = [c for c in candidates if grid.price_min <= c <= grid.price_max]
-    return np.union1d(mesh, np.array(in_range, dtype=float))
+    mesh.flags.writeable = False
+    return mesh
+
+
+def _grid_prices(wtps: np.ndarray, v_B: float, grid: GridSpec) -> np.ndarray:
+    """The candidate prices (distinct WTPs and v_B) inside the grid's range, ascending."""
+    prices = np.unique(np.append(wtps, v_B))
+    return prices[(prices >= grid.price_min) & (prices <= grid.price_max)]
+
+
+def _first_max(prices: np.ndarray, wtps: np.ndarray, steps: np.ndarray) -> tuple[float, float]:
+    """Lowest of the ascending `prices` that earns the most, and that profit.
+
+    The prices at or below wtps[0] lie on step 0, those in (wtps[0],
+    wtps[1]] on step 1, and so on, so each step's demand is repeated over
+    its run of prices instead of being looked up price by price.
+    """
+    ends = np.searchsorted(prices, wtps, side="right")
+    counts = np.diff(ends, prepend=0, append=prices.size)
+    profits = prices * np.repeat(steps, counts)
+    i = int(np.argmax(profits))
+    return float(prices[i]), float(profits[i])
 
 
 def grid_argmax(
@@ -106,15 +163,17 @@ def grid_argmax(
 ) -> tuple[float, float]:
     """Profit-maximizing price over the grid and the profit it earns.
 
-    Ties break toward the lower price (np.argmax returns the first maximum
-    of an ascending grid).
+    Every mesh point is scored, and so is every candidate price in range;
+    ties break toward the lower price.
     """
     if grid is None:
         grid = GridSpec()
-    prices = _grid_prices(params, quality, grid)
-    profits = prices * demand_by_enumeration(params, quality, prices)
-    i = int(np.argmax(profits))
-    return float(prices[i]), float(profits[i])
+    wtps, steps = _demand_steps(params, quality)
+    best = [_first_max(_mesh(grid), wtps, steps)]
+    candidates = _grid_prices(wtps, params.v_B, grid)
+    if candidates.size:
+        best.append(_first_max(candidates, wtps, steps))
+    return max(best, key=lambda scored: (scored[1], -scored[0]))
 
 
 @dataclass(frozen=True)
@@ -137,6 +196,7 @@ class SimReport:
 
 _BATCH = 1 << 20  # consumers simulated per vectorized batch
 _UNIFORMS_PER_DRAW = 3  # type, precision, valence
+_SEED_LIMIT = 2**128  # Philox keys are 128-bit
 
 
 def _batch_uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -161,22 +221,25 @@ def simulate_market(
     precision), then applies that type's posterior and the buy-at-or-below-
     WTP rule.  Returns the mean and standard error (sample std / sqrt(n)).
     """
-    if draws < 1:
-        raise ParameterError(f"draws must be >= 1, got {draws}")
+    if not _is_int(draws) or draws < 1:
+        raise ParameterError(f"draws must be an int >= 1, got {draws!r}")
+    if not _is_int(seed) or not 0 <= seed < _SEED_LIMIT:
+        raise ParameterError(f"seed must be an int in [0, 2**128), got {seed!r}")
     if not 0.0 <= price <= 1.0:
         raise ParameterError(f"price must lie in [0, 1], got {price}")
 
-    # WTP lookup indexed by soph*4 + high*2 + good (bit-identical to the
-    # cell table used by the enumeration oracle).
-    wtp_table = np.empty(8)
+    # Whether each cell buys, indexed by soph*4 + high*2 + match; the valence
+    # agrees with the true quality exactly when it "matches".  The WTPs are
+    # bit-identical to the cell table of the enumeration oracle.
+    buys_in = np.empty(8, dtype=bool)
     for soph in (0, 1):
         consumer = ConsumerType.SOPHISTICATED if soph else ConsumerType.NAIVE
         for high in (0, 1):
             prec = Precision.HIGH if high else Precision.LOW
-            for good in (0, 1):
-                val = Valence.GOOD if good else Valence.BAD
+            for match in (0, 1):
+                val = Valence.GOOD if bool(match) == (quality is Quality.G) else Valence.BAD
                 mu = posterior_with_prior(params, consumer, Signal(val, prec))
-                wtp_table[soph * 4 + high * 2 + good] = wtp_from_posterior(mu, params)
+                buys_in[soph * 4 + high * 2 + match] = wtp_from_posterior(mu, params) >= price
 
     buys = 0
     done = 0
@@ -185,12 +248,9 @@ def simulate_market(
         u = _batch_uniforms(seed, done, count)
         soph = u[:, 0] < params.lam
         high = u[:, 1] < params.gamma
-        w = np.where(high, params.h, L)
-        match = u[:, 2] < w
-        # The valence agrees with the true quality exactly when it "matches".
-        good = match if quality is Quality.G else ~match
-        idx = soph.astype(np.intp) * 4 + high.astype(np.intp) * 2 + good.astype(np.intp)
-        buys += int(np.count_nonzero(wtp_table[idx] >= price))
+        match = u[:, 2] < np.where(high, params.h, L)
+        idx = (soph.view(np.uint8) << 2) | (high.view(np.uint8) << 1) | match.view(np.uint8)
+        buys += int(np.count_nonzero(buys_in[idx]))
         done += count
 
     mean = buys / draws

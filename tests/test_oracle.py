@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import reference_oracle as reference
 from splab import (
     GridSpec,
     ModelParams,
@@ -20,10 +21,32 @@ from splab import (
     grid_argmax,
     simulate_market,
 )
+from splab import oracle
 
 hs = st.floats(min_value=0.5, max_value=1.0, allow_nan=False)
 lams = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 vbs = st.floats(min_value=0.0, max_value=0.99, allow_nan=False)
+
+# The full (h, lambda, v_B, gamma, mu0) box, with its edges and values that
+# land on mesh points (v_B = 0 and 0.25, h = 0.5 and 1) drawn often.
+box = st.builds(
+    ModelParams,
+    h=st.one_of(st.sampled_from([0.5, 0.75, 1.0]), hs),
+    lam=st.one_of(st.sampled_from([0.0, 1.0]), lams),
+    v_B=st.one_of(st.sampled_from([0.0, 0.25, 0.5]), vbs),
+    gamma=st.one_of(st.just(0.5), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    mu0=st.one_of(st.just(0.5), st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+
+
+@st.composite
+def grids(draw):
+    """The default grid, fixed grids that cut off some candidates, or any grid."""
+    fixed = [GridSpec(), GridSpec(0.3, 0.8, 5001), GridSpec(0.0, 0.5, 1001), GridSpec(0.6, 1.0, 7)]
+    if draw(st.booleans()):
+        return draw(st.sampled_from(fixed))
+    ends = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True))
+    return GridSpec(min(ends), max(ends), draw(st.integers(2, 3000)))
 
 
 class TestEnumeration:
@@ -50,6 +73,26 @@ class TestEnumeration:
         params = ModelParams(h=0.8, lam=0.5, v_B=0.1)
         with pytest.raises(ParameterError):
             demand_by_enumeration(params, Quality.G, 1.2)
+
+    @pytest.mark.parametrize("price", [math.nan, np.array([0.2, math.nan, 0.7])])
+    def test_nan_price_rejected(self, price):
+        params = ModelParams(h=0.8, lam=0.5, v_B=0.1)
+        with pytest.raises(ParameterError):
+            demand_by_enumeration(params, Quality.G, price)
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=box, prices=st.lists(st.floats(0.0, 1.0), max_size=20))
+    def test_equals_cell_by_cell_reference(self, params, prices):
+        # Each price also at the WTPs and v_B themselves, where the steps change.
+        wtps = [wtp for _, wtp in reference.consumer_cells(params, Quality.G)]
+        prices = np.array(prices + wtps + [params.v_B])
+        for quality in Quality:
+            got = demand_by_enumeration(params, quality, prices)
+            assert np.array_equal(got, reference.demand_by_enumeration(params, quality, prices))
+            for p in prices[-3:]:
+                assert demand_by_enumeration(params, quality, p) == (
+                    reference.demand_by_enumeration(params, quality, p)
+                )
 
 
 class TestGridArgmax:
@@ -81,6 +124,27 @@ class TestGridArgmax:
         params = ModelParams(h=0.7, lam=1.0, v_B=0.1)
         with pytest.raises(ParameterError):
             grid_argmax(params, Quality.G, grid=GridSpec(0.7, 0.2, 100))
+
+    @pytest.mark.parametrize("points", [2.5, 100001.0, True, "5"])
+    def test_points_must_be_an_int(self, points):
+        # A float that equals an int would otherwise share its cached mesh.
+        with pytest.raises(ParameterError):
+            GridSpec(0.0, 1.0, points)
+
+    def test_cached_mesh_is_read_only(self):
+        mesh = oracle._mesh(GridSpec())
+        assert mesh is oracle._mesh(GridSpec())
+        with pytest.raises(ValueError):
+            mesh[0] = 0.5
+
+    @settings(max_examples=150, deadline=None)
+    @given(params=box, grid=grids())
+    @example(params=ModelParams(h=1.0, lam=1.0, v_B=0.25), grid=GridSpec())
+    @example(params=ModelParams(h=0.5, lam=0.0, v_B=0.0), grid=GridSpec())
+    @example(params=ModelParams(h=0.7, lam=1.0, v_B=0.1), grid=GridSpec(0.0, 0.5, 5001))
+    def test_equals_union_grid_reference(self, params, grid):
+        for quality in Quality:
+            assert grid_argmax(params, quality, grid) == reference.grid_argmax(params, quality, grid)
 
 
 class TestSimulation:
@@ -118,6 +182,14 @@ class TestSimulation:
         a = simulate_market(params, Quality.B, 0.31, draws=200_000, seed=99)
         b = simulate_market(params, Quality.B, 0.31, draws=200_000, seed=99)
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize(
+        "draws, seed", [(0, 1), (10.5, 1), (True, 1), (10, -1), (10, 1.0), (10, False), (10, 2**128)]
+    )
+    def test_rejects_bad_draws_and_seed(self, draws, seed):
+        params = ModelParams(h=0.8, lam=0.5, v_B=0.1)
+        with pytest.raises(ParameterError):
+            simulate_market(params, Quality.G, 0.5, draws=draws, seed=seed)
 
     def test_different_seed_differs(self):
         params = ModelParams(h=0.73, lam=0.42, v_B=0.18)
