@@ -33,12 +33,14 @@ import json
 import math
 import os
 import sys
-from typing import Iterable, Optional, Sequence
+from dataclasses import astuple, fields
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .demand import build_wtp_schedule, expected_demand
 from .equilibrium import (
+    ThresholdSet,
     _argmax_level,
     _level_profit_G,
     classify_equilibrium,
@@ -65,6 +67,7 @@ class UsageError(Exception):
     """Bad flags, config, or axis syntax; maps to exit code 2."""
 
 
+#: The grid axes, in ModelParams' field order.
 AXIS_ORDER = ("h", "lambda", "v_B", "gamma", "mu0")
 AXIS_DEFAULTS = {"lambda": 0.0, "v_B": 0.1, "gamma": 0.5, "mu0": 0.5}
 CONFIG_KEYS = set(AXIS_ORDER) | {"format", "out"}
@@ -74,29 +77,32 @@ THRESHOLD_POINTS = 8
 #: Largest grid (product of the axis step counts) a command will build; 4x
 #: the 501 x 501 maps the tool is meant for.
 MAX_GRID_POINTS = 10**6
+#: Largest `verify --seed`: the Monte-Carlo check seeds its runs with
+#: seed + 0..5, and a Philox key must stay below 2**128.
+MAX_VERIFY_SEED = 2**128 - 6
 
 SOLVE_COLUMNS = (
-    "h", "lambda", "v_B", "gamma", "mu0",
+    *AXIS_ORDER,
     "kind", "price", "low_price", "alpha",
     "profit_G", "profit_B", "region", "candidate_level",
 )
-REGION_COLUMNS = (
-    "h", "lambda", "v_B", "gamma", "mu0",
-    "classification", "price", "profit_G", "profit_B",
-)
+REGION_COLUMNS = (*AXIS_ORDER, "classification", "price", "profit_G", "profit_B")
 COMPARE_COLUMNS = (
     "h", "profit_G_naive", "profit_G_soph", "profit_B_naive", "profit_B_soph",
 )
+THRESHOLD_COLUMNS = ("h", "lambda", "v_B", *(f.name for f in fields(ThresholdSet)))
 
 
 def fmt(value) -> str:
-    """Fixed 12-significant-digit float formatting; None becomes ''."""
+    """Fixed 12-significant-digit float formatting; None becomes ''.
+
+    The only ints in a row are candidate levels 1..5, which print the same
+    through a float.
+    """
     if value is None:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
     return format(float(value), ".12g")
 
 
@@ -177,59 +183,32 @@ def _resolve_axes(args, config: dict) -> dict[str, list[float]]:
     }
 
 
-def _grid_points(axes: dict[str, list[float]]) -> Iterable[dict[str, float]]:
-    lists = [axes[a] for a in AXIS_ORDER]
-    for combo in itertools.product(*lists):
-        yield dict(zip(AXIS_ORDER, combo))
+def _grid(axes: dict[str, list[float]]) -> Iterator[tuple[tuple[float, ...], ModelParams]]:
+    """Each grid point's axis values, in AXIS_ORDER, with its ModelParams."""
+    for values in itertools.product(*(axes[a] for a in AXIS_ORDER)):
+        yield values, ModelParams(*values)
 
 
-def _params_at(point: dict[str, float]) -> ModelParams:
-    return ModelParams(
-        h=point["h"],
-        lam=point["lambda"],
-        v_B=point["v_B"],
-        gamma=point["gamma"],
-        mu0=point["mu0"],
-    )
-
-
-def _solve_rows(axes: dict[str, list[float]]) -> list[dict]:
+def _solve_rows(axes: dict[str, list[float]]) -> list[tuple]:
     rows = []
-    for point in _grid_points(axes):
-        label, out = classify_equilibrium(_params_at(point))
-        rows.append(
-            {
-                **point,
-                "kind": out.kind,
-                "price": out.price,
-                "low_price": out.low_price,
-                "alpha": out.alpha,
-                "profit_G": out.profit_G,
-                "profit_B": out.profit_B,
-                "region": out.region,
-                "candidate_level": out.candidate_level,
-            }
-        )
+    for values, params in _grid(axes):
+        _, out = classify_equilibrium(params)
+        rows.append((
+            *values, out.kind, out.price, out.low_price, out.alpha,
+            out.profit_G, out.profit_B, out.region, out.candidate_level,
+        ))
     return rows
 
 
-def _region_rows(axes: dict[str, list[float]]) -> list[dict]:
+def _region_rows(axes: dict[str, list[float]]) -> list[tuple]:
     rows = []
-    for point in _grid_points(axes):
-        label, out = classify_equilibrium(_params_at(point))
-        rows.append(
-            {
-                **point,
-                "classification": label,
-                "price": out.price,
-                "profit_G": out.profit_G,
-                "profit_B": out.profit_B,
-            }
-        )
+    for values, params in _grid(axes):
+        label, out = classify_equilibrium(params)
+        rows.append((*values, label, out.price, out.profit_G, out.profit_B))
     return rows
 
 
-def _compare_rows(axes: dict[str, list[float]]) -> list[dict]:
+def _compare_rows(axes: dict[str, list[float]]) -> list[tuple]:
     for fixed in ("gamma", "mu0"):
         if len(axes[fixed]) != 1:
             raise UsageError(f"compare does not sweep --{fixed}")
@@ -241,30 +220,23 @@ def _compare_rows(axes: dict[str, list[float]]) -> list[dict]:
         naive = ModelParams(h=h, lam=0.0, v_B=v_B, gamma=gamma, mu0=mu0)
         soph = ModelParams(h=h, lam=1.0, v_B=v_B, gamma=gamma, mu0=mu0)
         report = compare_markets(naive, soph)
+        naive_out, soph_out = report.naive, report.sophisticated
         rows.append(
-            {
-                "h": h,
-                "profit_G_naive": report.naive.profit_G,
-                "profit_G_soph": report.sophisticated.profit_G,
-                "profit_B_naive": report.naive.profit_B,
-                "profit_B_soph": report.sophisticated.profit_B,
-            }
+            (h, naive_out.profit_G, soph_out.profit_G, naive_out.profit_B, soph_out.profit_B)
         )
     return rows
 
 
-def _threshold_rows(axes: dict[str, list[float]]) -> list[dict]:
+def _threshold_rows(axes: dict[str, list[float]]) -> list[tuple]:
     for axis in AXIS_ORDER:
         if len(axes[axis]) != 1:
             raise UsageError("thresholds takes scalar parameters only")
-    point = next(iter(_grid_points(axes)))
-    ts = thresholds(_params_at(point))
-    row = {"h": point["h"], "lambda": point["lambda"], "v_B": point["v_B"]}
-    row.update(ts.to_dict())
-    return [row]
+    values, params = next(_grid(axes))
+    return [(*values[:3], *astuple(thresholds(params)))]
 
 
-def _write_rows(rows: Sequence[dict], columns: Sequence[str], args) -> None:
+def _write_rows(rows: Sequence[tuple], columns: Sequence[str], args) -> None:
+    """Write rows, tuples in the order of `columns`, as CSV or JSON."""
     if args.out:
         try:
             target = open(args.out, "w", encoding="utf-8", newline="")
@@ -276,10 +248,10 @@ def _write_rows(rows: Sequence[dict], columns: Sequence[str], args) -> None:
         if (args.format or "csv") == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            writer.writerows([fmt(row.get(col)) for col in columns] for row in rows)
+            writer.writerows([fmt(value) for value in row] for row in rows)
         else:
             payload = [
-                {col: _json_value(row.get(col)) for col in columns} for row in rows
+                {col: _json_value(value) for col, value in zip(columns, row)} for row in rows
             ]
             fh.write(json.dumps(payload, indent=2) + "\n")
 
@@ -473,8 +445,8 @@ def _run_verify(args) -> int:
     draws = args.draws if args.draws is not None else 200000
     if draws < 1:
         raise UsageError(f"--draws must be >= 1, got {draws}")
-    if seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {seed}")
+    if not 0 <= seed <= MAX_VERIFY_SEED:
+        raise UsageError(f"--seed must lie in [0, 2**128 - 6], got {seed}")
     rng = np.random.default_rng(seed)
     # Its own stream, so the other checks draw the points they always drew.
     thresholds_rng = np.random.default_rng([seed, 1])
@@ -511,7 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             # No prefix matching, so --h is refused rather than read as --help.
             p = sub.add_parser(name, help=helptext, allow_abbrev=False)
-            p.add_argument("--seed", type=int, help="seed for the verification suite")
+            p.add_argument(
+                "--seed", type=int, help="seed for the verification suite, 0 to 2**128 - 6"
+            )
             p.add_argument("--draws", type=int, help="Monte-Carlo draws per check")
             continue
         p = sub.add_parser(name, help=helptext)
@@ -554,8 +528,7 @@ def _run_command(args) -> int:
             )
         rows, columns = _compare_rows(axes), COMPARE_COLUMNS
     else:  # thresholds
-        rows = _threshold_rows(axes)
-        columns = tuple(rows[0].keys())
+        rows, columns = _threshold_rows(axes), THRESHOLD_COLUMNS
     _write_rows(rows, columns, args)
     return 0
 

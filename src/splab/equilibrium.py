@@ -100,28 +100,30 @@ def _require_base(params: ModelParams, op: str) -> None:
 def best_pooling_candidate(params: ModelParams) -> PoolingCandidate:
     """Argmax of the high type's profit over the six candidate prices.
 
-    Candidates are the five WTP levels plus v_B.  Ties break toward the
-    lower price; at equal prices (degenerate h = 0.5, or v_B touching the
-    bottom WTP at h = 1) toward the lower level, keeping region labels
-    deterministic.  This argmax is well defined whether or not the pooling
-    equilibrium ultimately exists, which is what the threshold machinery
-    relies on.
+    Candidates are the five WTP rungs plus v_B.  Rung k earns
+    wtp_k * coverage_k, read off the ladder; only v_B looks its demand up.
+    Ties break toward the lower price; at equal prices (degenerate h = 0.5,
+    or v_B touching a rung) toward the lower level, v_B last, keeping region
+    labels deterministic.  The rungs' WTPs never decrease, so of rungs with
+    equal WTPs the lowest covers the most and wins.  This argmax is well
+    defined whether or not the pooling equilibrium ultimately exists, which
+    is what the threshold machinery relies on.
     """
     schedule = build_wtp_schedule(params)
-    candidates: list[tuple[float, Optional[int]]] = [
-        (lvl.wtp, lvl.level) for lvl in schedule.levels
+    v = params.v_B
+    candidates = [
+        PoolingCandidate(lvl.wtp, lvl.level, lvl.wtp * cov_G, lvl.wtp * cov_B)
+        for lvl, cov_G, cov_B in zip(schedule.levels, schedule.coverage_G, schedule.coverage_B)
     ]
-    candidates.append((params.v_B, None))
-    candidates.sort(key=lambda c: (c[0], 6 if c[1] is None else c[1]))
-
-    best: Optional[PoolingCandidate] = None
-    for price, level in candidates:
-        pg = price * expected_demand(schedule, price, Quality.G)
-        pb = price * expected_demand(schedule, price, Quality.B)
-        if best is None or pg > best.profit_G:
-            best = PoolingCandidate(price, level, pg, pb)
-    assert best is not None
-    return best
+    candidates.append(
+        PoolingCandidate(
+            v,
+            None,
+            v * expected_demand(schedule, v, Quality.G),
+            v * expected_demand(schedule, v, Quality.B),
+        )
+    )
+    return max(candidates, key=lambda c: (c.profit_G, -c.price, -(c.level or 6)))
 
 
 def _naive_prices(params: ModelParams) -> tuple[float, float, float]:

@@ -29,10 +29,7 @@ from .model import (
     ConsumerType,
     ModelParams,
     ParameterError,
-    Precision,
     Quality,
-    Signal,
-    Valence,
     posterior_with_prior,
     signal_distribution,
     wtp_from_posterior,
@@ -228,18 +225,11 @@ def simulate_market(
     if not 0.0 <= price <= 1.0:
         raise ParameterError(f"price must lie in [0, 1], got {price}")
 
-    # Whether each cell buys, indexed by soph*4 + high*2 + match; the valence
-    # agrees with the true quality exactly when it "matches".  The WTPs are
-    # bit-identical to the cell table of the enumeration oracle.
-    buys_in = np.empty(8, dtype=bool)
-    for soph in (0, 1):
-        consumer = ConsumerType.SOPHISTICATED if soph else ConsumerType.NAIVE
-        for high in (0, 1):
-            prec = Precision.HIGH if high else Precision.LOW
-            for match in (0, 1):
-                val = Valence.GOOD if bool(match) == (quality is Quality.G) else Valence.BAD
-                mu = posterior_with_prior(params, consumer, Signal(val, prec))
-                buys_in[soph * 4 + high * 2 + match] = wtp_from_posterior(mu, params) >= price
+    # Whether each cell of the enumeration oracle's table buys: naive then
+    # sophisticated, each over SIGNALS (good-high, bad-high, good-low,
+    # bad-low), so a draw's cell is soph*4 + low*2 + bad.
+    buys_in = np.array([wtp >= price for _, wtp in consumer_cells(params, quality)])
+    good = quality is Quality.G
 
     buys = 0
     done = 0
@@ -248,8 +238,10 @@ def simulate_market(
         u = _batch_uniforms(seed, done, count)
         soph = u[:, 0] < params.lam
         high = u[:, 1] < params.gamma
-        match = u[:, 2] < np.where(high, params.h, L)
-        idx = (soph.view(np.uint8) << 2) | (high.view(np.uint8) << 1) | match.view(np.uint8)
+        # The valence is bad exactly when it misses a good product or
+        # matches a bad one.
+        bad = (u[:, 2] < np.where(high, params.h, L)) ^ good
+        idx = (soph.view(np.uint8) << 2) | ((~high).view(np.uint8) << 1) | bad.view(np.uint8)
         buys += int(np.count_nonzero(buys_in[idx]))
         done += count
 

@@ -274,7 +274,10 @@ class TestVerify:
         golden = VERIFY_GOLDEN.read_text(encoding="utf-8")
         assert monte_carlo(out) == monte_carlo(golden)
 
-    @pytest.mark.parametrize("flag,value", [("--draws", "0"), ("--seed", "-1")])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--draws", "0"), ("--seed", "-1"), ("--seed", str(2**128 - 5))],
+    )
     def test_bad_settings_exit_two_before_any_check(self, capsys, flag, value):
         code = main(["verify", flag, value])
         captured = capsys.readouterr()

@@ -52,6 +52,19 @@ class TestSchedule:
         wtps = [lv.wtp for lv in sched.levels]
         assert all(a < b for a, b in zip(wtps, wtps[1:]))
 
+    @settings(max_examples=300)
+    @given(
+        h=st.one_of(st.sampled_from([0.5, 0.5 + 2**-53, 1.0 - 2**-53, 1.0]), hs),
+        lam=st.one_of(st.sampled_from([0.0, 1.0]), lams),
+        v=st.one_of(st.sampled_from([0.0, 0.22, 0.999]), vbs),
+    )
+    def test_wtp_never_decreases_up_the_ladder(self, h, lam, v):
+        # best_pooling_candidate reads each rung's profit off its own
+        # coverage, which is the demand at its WTP only on such a ladder.
+        sched = build_wtp_schedule(ModelParams(h=h, lam=lam, v_B=v))
+        wtps = [lv.wtp for lv in sched.levels]
+        assert all(a <= b for a, b in zip(wtps, wtps[1:]))
+
     @given(h=hs, lam=lams, v=vbs)
     def test_dispersion_closed_form(self, h, lam, v):
         sched = build_wtp_schedule(ModelParams(h=h, lam=lam, v_B=v))

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import reference_candidate as reference
 from splab import (
     ModelParams,
     ParameterError,
@@ -32,6 +33,11 @@ from splab.equilibrium import _naive_candidate
 hs = st.floats(min_value=0.5, max_value=1.0, allow_nan=False)
 lams = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 vbs = st.floats(min_value=0.0, max_value=0.99, allow_nan=False)
+#: The ties at h = 1/2 (one WTP on every rung) and h = 1 (v_B on the bottom
+#: rung), the lam corners, and v_B at 0 and near 1.
+edge_hs = st.one_of(st.sampled_from([0.5, 0.5 + 2**-53, 1.0 - 2**-53, 1.0]), hs)
+edge_lams = st.one_of(st.sampled_from([0.0, 1.0]), lams)
+edge_vbs = st.one_of(st.sampled_from([0.0, 0.22, 0.999]), vbs)
 
 
 class TestSolvePooling:
@@ -80,6 +86,17 @@ class TestSolvePooling:
         price, profit = grid_argmax(params, Quality.G)
         assert price == cand.price
         assert profit == pytest.approx(cand.profit_G, abs=1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(h=edge_hs, lam=edge_lams, v=edge_vbs)
+    @example(h=0.5, lam=0.3, v=0.1)
+    @example(h=1.0, lam=0.0, v=0.0)
+    @example(h=1.0, lam=1.0, v=0.0)
+    def test_candidate_equals_sorted_lookup_reference(self, h, lam, v):
+        params = ModelParams(h=h, lam=lam, v_B=v)
+        got = best_pooling_candidate(params)
+        want = reference.best_pooling_candidate(params)
+        assert repr(got) == repr(want)
 
     def test_rejects_extension_variants(self):
         with pytest.raises(UnsupportedVariantError):
