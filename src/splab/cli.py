@@ -94,23 +94,23 @@ THRESHOLD_COLUMNS = ("h", "lambda", "v_B", *(f.name for f in fields(ThresholdSet
 
 
 def fmt(value) -> str:
-    """Fixed 12-significant-digit float formatting; None becomes ''.
+    """Fixed 12-significant-digit number formatting; None becomes ''.
 
-    The only ints in a row are candidate levels 1..5, which print the same
-    through a float.
+    The only ints in a row are candidate levels 1..5, which print as they
+    would through a float.
     """
     if value is None:
         return ""
     if isinstance(value, str):
         return value
-    return format(float(value), ".12g")
+    return "%.12g" % value
 
 
 def _json_value(value):
     """JSON cell: floats rounded to the same 12 digits the CSV prints."""
     if value is None or isinstance(value, (str, int)):
         return value
-    return float(format(float(value), ".12g"))
+    return float(fmt(value))
 
 
 def parse_axis(raw, name: str) -> tuple[float, float, int]:
@@ -236,24 +236,25 @@ def _threshold_rows(axes: dict[str, list[float]]) -> list[tuple]:
 
 
 def _write_rows(rows: Sequence[tuple], columns: Sequence[str], args) -> None:
-    """Write rows, tuples in the order of `columns`, as CSV or JSON."""
-    if args.out:
-        try:
-            target = open(args.out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise UsageError(f"cannot write --out {args.out}: {exc}") from exc
-    else:
-        target = contextlib.nullcontext(sys.stdout)
-    with target as fh:
-        if (args.format or "csv") == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows([fmt(value) for value in row] for row in rows)
-        else:
-            payload = [
-                {col: _json_value(value) for col, value in zip(columns, row)} for row in rows
-            ]
-            fh.write(json.dumps(payload, indent=2) + "\n")
+    """Write rows, tuples in the order of `columns`, as CSV or JSON.
+
+    Failing to open, write or close --out is a UsageError; a failed write to
+    stdout propagates to `main`.
+    """
+    try:
+        with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            if (args.format or "csv") == "csv":
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(columns)
+                writer.writerows([fmt(value) for value in row] for row in rows)
+            else:
+                payload = [dict(zip(columns, map(_json_value, row))) for row in rows]
+                fh.write(json.dumps(payload, indent=2) + "\n")
+    except OSError as exc:
+        if not args.out:
+            raise
+        raise UsageError(f"cannot write --out {args.out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +544,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, ParameterError, UnsupportedVariantError) as exc:
         print(f"splab: error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader closed stdout early (say, `| head`): an I/O error.  Point
-        # stdout at the null device so the interpreter's last flush of the
-        # unwritten buffer cannot raise again on the way out.
+    except OSError as exc:
+        # A stdout write failed (--out failures are UsageErrors): the reader
+        # closed it early (say, `| head`; no message needed) or the device is
+        # full.  Point stdout at the null device so the interpreter's last
+        # flush of the unwritten buffer cannot raise again on the way out.
         with contextlib.suppress(OSError, ValueError):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"splab: error: cannot write stdout: {exc}", file=sys.stderr)
         return 2
 
 

@@ -16,9 +16,10 @@ that price (consumers buy when indifferent), which makes expected profit
 p * expected_demand(schedule, p, quality) piecewise linear in price with
 kinks exactly at the five WTP values.
 
-This module builds the ladder for the baseline variant only.  Off the
-baseline the equilibrium module prices the fully naive market (lam = 0) from
-its two naive WTPs directly, so non-baseline parameters are rejected here.
+The ladder exists for the baseline only (off it the equilibrium module
+prices the fully naive market from its two naive WTPs).  `ladder` returns
+its floats as flat tuples, which the solver and threshold engine read;
+`build_wtp_schedule` wraps the same floats in WtpLevel/WtpSchedule objects.
 """
 
 from __future__ import annotations
@@ -27,15 +28,13 @@ import json
 from dataclasses import asdict, dataclass
 
 from .model import (
+    L,
     ModelParams,
     ParameterError,
-    Precision,
     Quality,
-    Signal,
     UnsupportedVariantError,
-    Valence,
-    posterior_naive,
-    posterior_sophisticated,
+    _bayes,
+    w_bar,
     wtp_from_posterior,
 )
 
@@ -88,8 +87,8 @@ class WtpSchedule:
         return json.dumps(self.to_dict())
 
 
-def build_wtp_schedule(params: ModelParams) -> WtpSchedule:
-    """Construct the five-level schedule for baseline parameters.
+def ladder(params: ModelParams) -> tuple[tuple[float, ...], ...]:
+    """(wtps, coverage_G, coverage_B): the five rungs as flat float tuples.
 
     Raises UnsupportedVariantError unless gamma = 0.5 and mu0 = 0.5.
     """
@@ -99,49 +98,46 @@ def build_wtp_schedule(params: ModelParams) -> WtpSchedule:
             f"baseline (gamma=0.5, mu0=0.5); got gamma={params.gamma}, "
             f"mu0={params.mu0}"
         )
+    h, mu0, wb = params.h, params.mu0, w_bar(params)
+    # Pr(signal | G), Pr(signal | B) of each rung's signal, in CONSUMER_LABELS order.
+    likelihoods = ((1.0 - h, h), (1.0 - wb, wb), (L, 1.0 - L), (wb, 1.0 - wb), (h, 1.0 - h))
+    wtps = tuple([wtp_from_posterior(_bayes(mu0, g, b), params) for g, b in likelihoods])
+    mass_G = _rung_masses(params)
+    return wtps, _suffix_sums(mass_G), _suffix_sums(mass_G[::-1])
+
+
+def _rung_masses(params: ModelParams) -> tuple[float, ...]:
+    """Mass of (consumer type, signal cell) behind each rung when Q = G;
+    a bad product sees the mirror image, so its masses are these reversed."""
     h, lam = params.h, params.lam
-
-    posteriors = (
-        posterior_sophisticated(params, Signal(Valence.BAD, Precision.HIGH)),
-        posterior_naive(params, Valence.BAD),
-        posterior_sophisticated(params, Signal(Valence.GOOD, Precision.LOW)),
-        posterior_naive(params, Valence.GOOD),
-        posterior_sophisticated(params, Signal(Valence.GOOD, Precision.HIGH)),
-    )
-    wtps = tuple(wtp_from_posterior(mu, params) for mu in posteriors)
-
-    # Joint mass of (consumer type, signal cell) behind each level.  For a
-    # good product the sophisticated bad-high cell has probability (1-h)/2,
-    # naive bad-valence (3-2h)/4, low precision 1/2, and so on; a bad product
-    # sees the mirror image, so mass_B is mass_G reversed.
-    mass_G = (
+    return (
         lam * (1.0 - h) / 2.0,
         (1.0 - lam) * (3.0 - 2.0 * h) / 4.0,
         lam / 2.0,
         (1.0 - lam) * (1.0 + 2.0 * h) / 4.0,
         lam * h / 2.0,
     )
-    mass_B = tuple(reversed(mass_G))
 
+
+def _suffix_sums(m: tuple[float, ...]) -> tuple[float, ...]:
+    """(m0+...+m4, m1+...+m4, ..., m4), added from the top rung down onto
+    0.0, so that a -0.0 mass (lam = -0.0) sums to +0.0."""
+    s4 = m[4] + 0.0
+    s3 = m[3] + s4
+    s2 = m[2] + s3
+    s1 = m[1] + s2
+    return (m[0] + s1, s1, s2, s3, s4)
+
+
+def build_wtp_schedule(params: ModelParams) -> WtpSchedule:
+    """`ladder(params)` as WtpLevels; UnsupportedVariantError off the baseline."""
+    wtps, coverage_G, coverage_B = ladder(params)
+    mass_G = _rung_masses(params)
     levels = tuple(
-        WtpLevel(k + 1, wtps[k], mass_G[k], mass_B[k], CONSUMER_LABELS[k])
+        WtpLevel(k + 1, wtps[k], mass_G[k], mass_G[4 - k], CONSUMER_LABELS[k])
         for k in range(5)
     )
-    return WtpSchedule(
-        params=params,
-        levels=levels,
-        coverage_G=_suffix_sums(mass_G),
-        coverage_B=_suffix_sums(mass_B),
-    )
-
-
-def _suffix_sums(masses: tuple[float, ...]) -> tuple[float, ...]:
-    out = [0.0] * len(masses)
-    acc = 0.0
-    for k in range(len(masses) - 1, -1, -1):
-        acc = masses[k] + acc
-        out[k] = acc
-    return tuple(out)
+    return WtpSchedule(params, levels, coverage_G, coverage_B)
 
 
 def expected_demand(schedule: WtpSchedule, price: float, quality: Quality) -> float:

@@ -36,11 +36,11 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .demand import WtpSchedule, build_wtp_schedule, expected_demand
+# build_wtp_schedule and expected_demand stay importable for the trace hooks.
+from .demand import build_wtp_schedule, expected_demand, ladder  # noqa: F401
 from .model import (
     ModelParams,
     ParameterError,
-    Quality,
     UnsupportedVariantError,
     Valence,
     posterior_naive,
@@ -101,29 +101,28 @@ def best_pooling_candidate(params: ModelParams) -> PoolingCandidate:
     """Argmax of the high type's profit over the six candidate prices.
 
     Candidates are the five WTP rungs plus v_B.  Rung k earns
-    wtp_k * coverage_k, read off the ladder; only v_B looks its demand up.
-    Ties break toward the lower price; at equal prices (degenerate h = 0.5,
-    or v_B touching a rung) toward the lower level, v_B last, keeping region
-    labels deterministic.  The rungs' WTPs never decrease, so of rungs with
-    equal WTPs the lowest covers the most and wins.  This argmax is well
-    defined whether or not the pooling equilibrium ultimately exists, which
-    is what the threshold machinery relies on.
+    wtp_k * coverage_k off the flat `ladder` tuples; v_B earns the coverage
+    of the lowest rung covering it.  Ties go to the lower price, then the
+    lower level, v_B last.  Only the winner becomes a PoolingCandidate; the
+    WtpLevel/WtpSchedule objects are left to build_wtp_schedule's callers
+    (`verify`, the demos, the library).  The argmax is defined whether or
+    not the pooling equilibrium exists, which the threshold engine relies on.
     """
-    schedule = build_wtp_schedule(params)
+    wtps, cov_G, cov_B = ladder(params)
     v = params.v_B
-    candidates = [
-        PoolingCandidate(lvl.wtp, lvl.level, lvl.wtp * cov_G, lvl.wtp * cov_B)
-        for lvl, cov_G, cov_B in zip(schedule.levels, schedule.coverage_G, schedule.coverage_B)
-    ]
-    candidates.append(
-        PoolingCandidate(
-            v,
-            None,
-            v * expected_demand(schedule, v, Quality.G),
-            v * expected_demand(schedule, v, Quality.B),
-        )
-    )
-    return max(candidates, key=lambda c: (c.profit_G, -c.price, -(c.level or 6)))
+    prices = (*wtps, v)
+    # Each candidate's index into the coverages: v_B's is its covering rung,
+    # or 5 (coverage 0) above the top rung.
+    rungs = (0, 1, 2, 3, 4, next((k for k in range(5) if v <= wtps[k]), 5))
+    cov_G, cov_B = (*cov_G, 0.0), (*cov_B, 0.0)
+    best, best_profit = 0, prices[0] * cov_G[0]
+    for i in range(1, 6):
+        profit = prices[i] * cov_G[rungs[i]]
+        if profit > best_profit or (profit == best_profit and prices[i] < prices[best]):
+            best, best_profit = i, profit
+    price = prices[best]
+    level = best + 1 if best < 5 else None
+    return PoolingCandidate(price, level, best_profit, price * cov_B[rungs[best]])
 
 
 def _naive_prices(params: ModelParams) -> tuple[float, float, float]:
@@ -249,14 +248,15 @@ def solve_mixed(params: ModelParams) -> EquilibriumOutcome:
 Quadratic = tuple[float, float, float]
 
 
-def _schedule(h: float, lam: float, v_B: float) -> WtpSchedule:
-    return build_wtp_schedule(ModelParams(h=h, lam=lam, v_B=v_B))
+def _schedule(h: float, lam: float, v_B: float) -> tuple[tuple[float, ...], ...]:
+    """The flat ladder (wtps, coverage_G, coverage_B) at a baseline point."""
+    return ladder(ModelParams(h=h, lam=lam, v_B=v_B))
 
 
 def _level_profit_G(h: float, lam: float, v_B: float, level: int) -> float:
     """High-type profit from pricing at WTP level `level` (1..5), off the ladder."""
-    sched = _schedule(h, lam, v_B)
-    return sched.levels[level - 1].wtp * sched.coverage_G[level - 1]
+    wtps, cov_G, _ = _schedule(h, lam, v_B)
+    return wtps[level - 1] * cov_G[level - 1]
 
 
 def _argmax_level(h: float, lam: float, v_B: float) -> int:
@@ -271,14 +271,14 @@ def _profit_polys(v_B: float) -> tuple[tuple[Quadratic, Quadratic], ...]:
     Every WTP rung is linear in h and every coverage is linear in h and lam,
     so each level's profit is quadratic in h and linear in lam.  A and B
     interpolate the ladder itself at h in {0.5, 0.75, 1} and lam in {0, 1},
-    which keeps the arithmetic in build_wtp_schedule; A_k(0) and B_k(0) are
+    which keeps the arithmetic in `ladder`; A_k(0) and B_k(0) are
     the ladder's own values at h = 0.5.
     """
     rows = [[_schedule(0.5 + t, lam, v_B) for t in (0.0, 0.25, 0.5)] for lam in (0.0, 1.0)]
     polys = []
     for k in range(5):
         at_0, at_1 = (
-            _interpolate([s.levels[k].wtp * s.coverage_G[k] for s in row]) for row in rows
+            _interpolate([wtps[k] * cov_G[k] for wtps, cov_G, _ in row]) for row in rows
         )
         polys.append((at_0, _sub(at_1, at_0)))
     return tuple(polys)

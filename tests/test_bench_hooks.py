@@ -2,16 +2,20 @@
 
 `bench/layers.py` wraps module-level names of splab (the CLI row builders,
 the candidate argmax, the extension aliases, the ladder build, ...).  A
-refactor that deletes or renames one of them would otherwise fail only in
-traced benchmark runs.
+refactor that deletes or renames one of them, or that stops calling
+`cli.classify_equilibrium` once per grid point (the traced run tallies the
+region kinds there), would otherwise fail only in traced benchmark runs.
 """
 
 from __future__ import annotations
 
+import csv
+from collections import Counter
 from pathlib import Path
 
 import splab.cli as cli
 import splab.equilibrium as equilibrium
+from test_cli_golden import CASES, GOLDEN_DIR
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -29,3 +33,31 @@ def test_trace_hooks_install_and_uninstall(monkeypatch):
     finally:
         tracer.uninstall()
     assert (cli.classify_equilibrium, equilibrium.best_pooling_candidate) == originals
+
+
+def test_trace_tallies_every_grid_point(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    from tracer import Tracer
+
+    golden = GOLDEN_DIR / "regions_baseline.csv"
+    with open(golden, encoding="utf-8", newline="") as fh:
+        labels = [row["classification"] for row in csv.DictReader(fh)]
+    out = tmp_path / "regions.csv"
+    tracer = Tracer()
+    layers.install(tracer)
+    tracer.active = True
+    try:
+        code = cli.main([*CASES["regions_baseline"], "--out", str(out)])
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert code == 0
+    assert out.read_bytes() == golden.read_bytes()
+    kinds = {
+        name.removeprefix("equilibrium.kind."): count
+        for name, count in tracer.counts.items()
+        if name.startswith("equilibrium.kind.")
+    }
+    assert kinds == Counter(labels)
+    assert tracer.counts["cli.rows"] == len(labels)

@@ -24,6 +24,13 @@ def run(capsys, *args):
     return code, captured.out
 
 
+def _src_env() -> dict:
+    """The environment for running `python -m splab.cli` from this checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+
+
 class TestSolve:
     def test_single_point_csv(self, capsys):
         code, out = run(capsys, "solve", "--h", "0.7", "--lambda", "1", "--vb", "0.1")
@@ -299,19 +306,50 @@ class TestVerify:
         assert exc.value.code == 2
 
 
+DEV_FULL = "/dev/full"
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists(DEV_FULL), reason="no /dev/full on this system"
+)
+
+
+class TestFullDevice:
+    """Writes that fail with ENOSPC exit 2 with one error line, no traceback."""
+
+    @needs_dev_full
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_on_full_device(self, capsys, fmt):
+        code = main(["regions", "--h", "0.5:1:3", "--format", fmt, "--out", DEV_FULL])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"splab: error: cannot write --out {DEV_FULL}")
+
+    @needs_dev_full
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--h", "0.7"],
+        ["regions", "--h", "0.5:1:3"],
+        ["verify", "--seed", "0", "--draws", "10"],
+    ], ids=["solve", "regions", "verify"])
+    def test_stdout_on_full_device(self, argv):
+        with open(DEV_FULL, "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "splab.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, env=_src_env(), timeout=120,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"splab: error: cannot write stdout")
+        assert b"Traceback" not in proc.stderr
+        assert b"Exception ignored" not in proc.stderr
+
+
 class TestBrokenPipe:
     def test_closed_stdout_exits_two_without_traceback(self):
         # The read end is closed before the process starts, so its first
         # write to stdout fails with EPIPE whatever the timing.
         read_end, write_end = os.pipe()
         os.close(read_end)
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(src), os.environ.get("PYTHONPATH", "")])}
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "splab.cli", "sweep", "--h", "0.5:1:101"],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+                stdout=write_end, stderr=subprocess.PIPE, env=_src_env(), timeout=120,
             )
         finally:
             os.close(write_end)

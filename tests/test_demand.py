@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import reference_ladder as reference
 from splab import (
     ModelParams,
     ParameterError,
@@ -13,14 +14,32 @@ from splab import (
     demand_by_enumeration,
     expected_demand,
 )
+from splab.demand import ladder
 
 hs = st.floats(min_value=0.5, max_value=1.0, allow_nan=False)
 lams = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 vbs = st.floats(min_value=0.0, max_value=0.99, allow_nan=False)
 prices = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+#: The ties at h = 1/2 and h = 1, the lam corners, and v_B at 0 and near 1.
+edge_hs = st.one_of(st.sampled_from([0.5, 0.5 + 2**-53, 1.0 - 2**-53, 1.0]), hs)
+edge_lams = st.one_of(st.sampled_from([0.0, 1.0]), lams)
+edge_vbs = st.one_of(st.sampled_from([0.0, 0.22, 0.999]), vbs)
 
 
 class TestSchedule:
+    @settings(max_examples=500, deadline=None)
+    @given(h=edge_hs, lam=edge_lams, v=edge_vbs)
+    @example(h=0.5, lam=0.3, v=0.1)
+    @example(h=1.0, lam=0.0, v=0.999)
+    @example(h=1.0, lam=1.0, v=0.0)
+    @example(h=0.7, lam=-0.0, v=0.1)  # `--lambda -0`: the suffix sums must not keep -0.0
+    def test_flat_ladder_equals_reference(self, h, lam, v):
+        params = ModelParams(h=h, lam=lam, v_B=v)
+        want = reference.build_wtp_schedule(params)
+        assert repr(build_wtp_schedule(params)) == repr(want)
+        flat = (tuple(lvl.wtp for lvl in want.levels), want.coverage_G, want.coverage_B)
+        assert repr(ladder(params)) == repr(flat)
+
     def test_worked_example(self):
         sched = build_wtp_schedule(ModelParams(h=0.8, lam=1.0, v_B=0.1))
         wtps = [lv.wtp for lv in sched.levels]
