@@ -31,9 +31,11 @@ import csv
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import astuple, fields
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -80,6 +82,9 @@ MAX_GRID_POINTS = 10**6
 #: Largest `verify --seed`: the Monte-Carlo check seeds its runs with
 #: seed + 0..5, and a Philox key must stay below 2**128.
 MAX_VERIFY_SEED = 2**128 - 6
+#: Most distinct values one output column formats once and keeps: enough for
+#: a 1001-step axis and the prices of a 501 x 501 map.
+CELL_CACHE_SIZE = 4096
 
 SOLVE_COLUMNS = (
     *AXIS_ORDER,
@@ -93,24 +98,45 @@ COMPARE_COLUMNS = (
 THRESHOLD_COLUMNS = ("h", "lambda", "v_B", *(f.name for f in fields(ThresholdSet)))
 
 
-def fmt(value) -> str:
-    """Fixed 12-significant-digit number formatting; None becomes ''.
+def _json_number(value) -> str:
+    """An int or float cell as `json.dumps` prints it, a float rounded first
+    to the 12 significant digits the CSV prints."""
+    if isinstance(value, int):
+        return int.__repr__(value)
+    rounded = float("%.12g" % value)
+    # json.dumps prints the non-finite floats as NaN, Infinity, -Infinity.
+    return float.__repr__(rounded) if math.isfinite(rounded) else json.dumps(rounded)
 
-    The only ints in a row are candidate levels 1..5, which print as they
-    would through a float.
+
+class _ColumnCells(dict):
+    """One output column's cell texts, keyed by cell value.
+
+    A cell is None, a str, an int or a float.  CSV prints a number with 12
+    significant digits, None as '' and a str as itself; JSON prints them as
+    `json.dumps` does, after the same rounding.  An axis, price or label
+    column holds few distinct values, so each is formatted once, on its
+    first lookup.  Whole numbers are never kept (0.0 == -0.0 and 1 == 1.0
+    hash alike, but print apart), and nothing more once CELL_CACHE_SIZE
+    values are, so a profit column, whose values are all distinct, costs one
+    format per cell.
     """
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return "%.12g" % value
 
+    def __init__(self, as_json: bool):
+        super().__init__({None: "null" if as_json else ""})
+        self.as_json = as_json
 
-def _json_value(value):
-    """JSON cell: floats rounded to the same 12 digits the CSV prints."""
-    if value is None or isinstance(value, (str, int)):
-        return value
-    return float(fmt(value))
+    def __missing__(self, value) -> str:
+        if isinstance(value, str):
+            text = encode_basestring_ascii(value) if self.as_json else value
+        elif self.as_json:
+            text = _json_number(value)
+        else:
+            text = "%.12g" % value
+        if len(self) < CELL_CACHE_SIZE and (
+            isinstance(value, str) or (isinstance(value, float) and not value.is_integer())
+        ):
+            self[value] = text
+        return text
 
 
 def parse_axis(raw, name: str) -> tuple[float, float, int]:
@@ -238,19 +264,36 @@ def _threshold_rows(axes: dict[str, list[float]]) -> list[tuple]:
 def _write_rows(rows: Sequence[tuple], columns: Sequence[str], args) -> None:
     """Write rows, tuples in the order of `columns`, as CSV or JSON.
 
+    The CSV prints each number with 12 significant digits.  The JSON equals
+    `json.dumps(..., indent=2)` of a list holding one object per row, each
+    float rounded to those 12 digits, plus a newline.  Both are written a
+    row at a time, the JSON from one row template, with the cell texts of
+    `_ColumnCells`.
+
     Failing to open, write or close --out is a UsageError; a failed write to
     stdout propagates to `main`.
     """
+    as_json = args.format == "json"
+    cells = [_ColumnCells(as_json) for _ in columns]
+    texts = (tuple(map(operator.getitem, cells, row)) for row in rows)
     try:
         with (open(args.out, "w", encoding="utf-8", newline="") if args.out
               else contextlib.nullcontext(sys.stdout)) as fh:
-            if (args.format or "csv") == "csv":
+            if not as_json:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(columns)
-                writer.writerows([fmt(value) for value in row] for row in rows)
+                writer.writerows(texts)
+            elif not rows:
+                fh.write("[]\n")
             else:
-                payload = [dict(zip(columns, map(_json_value, row))) for row in rows]
-                fh.write(json.dumps(payload, indent=2) + "\n")
+                template = "  {\n%s\n  }" % ",\n".join(
+                    "    %s: %%s" % encode_basestring_ascii(name).replace("%", "%%")
+                    for name in columns
+                )
+                fh.write(("[\n" + template) % next(texts))
+                later = ",\n" + template
+                fh.writelines(later % text for text in texts)
+                fh.write("\n]\n")
     except OSError as exc:
         if not args.out:
             raise

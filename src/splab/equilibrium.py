@@ -391,6 +391,10 @@ def _level_boundary(lam: float, v_B: float, max_level: int) -> float:
     return 1.0
 
 
+class _NoTie(Exception):
+    """A two-level tie a three-way tie slides along is absent."""
+
+
 class _StructureConstants(NamedTuple):
     lambda_hat1: Optional[float]
     lambda_hat2: Optional[float]
@@ -415,24 +419,27 @@ def _structure_constants(v_B: float) -> _StructureConstants:
     eps = 1e-6
     lambda_hat2 = _tie_lambda(1.0, v_B, 3, 4)
 
-    def excess_2_over_34(lam: float) -> float:
-        t = _tie_h(lam, v_B, 3, 4)
-        assert t is not None
-        return _poly_profit_G(t, lam, v_B, 2) - _poly_profit_G(t, lam, v_B, 3)
+    def three_way_tie(low: int, high: int, other: int, bracket) -> Optional[float]:
+        """lambda where level `other` meets the low/high tie; None once that
+        tie leaves h in (0.5, 1] (v_B within two ulps of 1)."""
 
-    def excess_1_over_3_at_12(lam: float) -> float:
-        t = _tie_h(lam, v_B, 1, 2)
-        assert t is not None
-        return _poly_profit_G(t, lam, v_B, 1) - _poly_profit_G(t, lam, v_B, 3)
+        def excess(lam: float) -> float:
+            t = _tie_h(lam, v_B, low, high)
+            if t is None:
+                raise _NoTie
+            return _poly_profit_G(t, lam, v_B, low) - _poly_profit_G(t, lam, v_B, other)
+
+        try:
+            return bisect_threshold(excess, bracket)
+        except _NoTie:
+            return None
 
     lambda_hat1 = None
     # Absent, like the other thresholds, once lambda_hat2 leaves no bracket
     # (v_B within about 5e-6 of 1).
     if lambda_hat2 is not None and eps < lambda_hat2 - eps:
-        lambda_hat1 = bisect_threshold(
-            excess_2_over_34, (eps, lambda_hat2 - eps)
-        )
-    lambda_hat3 = bisect_threshold(excess_1_over_3_at_12, (eps, 1.0 - eps))
+        lambda_hat1 = three_way_tie(3, 4, 2, (eps, lambda_hat2 - eps))
+    lambda_hat3 = three_way_tie(1, 2, 3, (eps, 1.0 - eps))
 
     h_knee1 = _tie_h(lambda_hat3, v_B, 1, 2) if lambda_hat3 is not None else None
     h_knee2 = _tie_h(lambda_hat1, v_B, 3, 4) if lambda_hat1 is not None else None
@@ -612,6 +619,11 @@ def prior_mu_lower(h: float, v_B: float) -> float:
     There is no closed form; locate the margin's minimum by scanning 2001
     evenly spaced priors, then bisect on the increasing side.  Returns 0.0
     when pooling holds for every prior.
+
+    Within an ulp or two of v_B = 1, rounding decides existence.  At h = 0.5
+    and v_B = 1 - 2**-53 the candidate's profit_B lands one ulp below, on or
+    one ulp above v_B as mu0 moves, so this returns 0.295; at
+    v_B = 1 - 2**-52 no margin is negative and it returns 0.0.
     """
 
     def margin(mu0: float) -> float:

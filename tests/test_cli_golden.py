@@ -61,7 +61,7 @@ def test_output_matches_golden(case, fmt):
 
 
 def test_cells_are_plain_python_values(monkeypatch):
-    # fmt prints every non-string cell through float(), exact only for
+    # The writer prints every number through '%.12g', exact only for
     # floats and small ints (the candidate levels).
     cells = set()
 

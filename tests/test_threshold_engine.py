@@ -8,6 +8,8 @@ pattern, and the ties the engine reports must hold on the ladder itself.
 defining difference.
 """
 
+import contextlib
+import io
 import math
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import bisection_thresholds as reference
 from splab import ModelParams, build_wtp_schedule, gamma_switch, thresholds
+from splab.cli import main
 from splab.equilibrium import _bracketed_root, _eval, _roots
 from splab.oracle import bisect_threshold
 
@@ -107,6 +110,51 @@ def test_lambda_hat1_absent_when_lambda_hat2_leaves_no_bracket():
     ts = thresholds(ModelParams(h=0.7, lam=0.3, v_B=0.9999999))
     assert ts.lambda_hat1 is None
     assert 0.0 < ts.lambda_hat2 < 2e-6
+
+
+#: v_B over [0, 1), half the draws among the last 2**20 floats below 1, where
+#: the level-1/2 tie that lambda_hat3 slides along leaves h in (0.5, 1].
+NEAR_ONE_VBS = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.integers(min_value=1, max_value=2**20).map(lambda k: 1.0 - k * 2.0**-53),
+)
+LAST_ULPS = (1.0 - 2.0**-53, 1.0 - 2.0**-52)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    h=st.floats(min_value=0.5, max_value=1.0),
+    lam=st.floats(min_value=0.0, max_value=1.0),
+    v_B=NEAR_ONE_VBS,
+)
+@example(h=0.7, lam=0.3, v_B=LAST_ULPS[0])
+@example(h=0.5, lam=0.0, v_B=LAST_ULPS[1])
+@example(h=1.0, lam=1.0, v_B=LAST_ULPS[0])
+def test_every_v_b_below_one_has_thresholds(h, lam, v_B):
+    ts = thresholds(ModelParams(h=h, lam=lam, v_B=v_B))
+    for name in FIELDS:
+        value = getattr(ts, name)
+        assert value is None or math.isfinite(value), (name, value)
+    if v_B in LAST_ULPS:
+        assert ts.lambda_hat1 is None and ts.lambda_hat3 is None
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    h=st.floats(min_value=0.5, max_value=1.0),
+    lam=st.floats(min_value=0.0, max_value=1.0),
+    v_B=NEAR_ONE_VBS,
+)
+@example(h=0.7, lam=0.3, v_B=LAST_ULPS[0])
+@example(h=0.7, lam=0.3, v_B=LAST_ULPS[1])
+def test_thresholds_command_answers_every_v_b_below_one(h, lam, v_B):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["thresholds", "--h", repr(h), "--lambda", repr(lam), "--vb", repr(v_B)])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert out.getvalue().count("\n") == 2
 
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

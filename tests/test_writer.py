@@ -1,0 +1,104 @@
+"""The row writer against the reference writer, byte for byte.
+
+`splab.cli._write_rows` formats each distinct cell of a column once and
+writes JSON from a row template; `tests/reference_writer.py` is the body it
+replaced (`csv.writer` over `fmt`, one `json.dumps(..., indent=2)`).  Tables
+are drawn from a small pool of cells per test, so values repeat within a
+column and the per-column caches are hit, and the pool mixes the cells the
+caches could confuse: 0.0 with -0.0, 1 with 1.0, NaN, and the infinities.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from splab.cli import _write_rows
+
+import reference_writer as reference
+
+FORMATS = ("csv", "json")
+#: Column names: the CLI's, then ones that need CSV quoting or JSON
+#: escaping, and one holding a '%' (the JSON row template is a %-template).
+COLUMNS = (
+    "h", "lambda", "price", "region", "candidate_level",
+    "a,b", 'say "hi"', "100%s", "mu₀", "tab\tnew\nline",
+)
+LABELS = ("R1", "R2", "R3", "R4", "R5", "mixed", "none", "pooling", "", "a,b", '"q"')
+SPECIAL_FLOATS = (
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e16, 0.1 + 0.2,
+    1.0, 2.0, 0.123456789012345, 1e-7, 123456789012.5,
+)
+cells = st.one_of(
+    st.none(),
+    st.sampled_from(LABELS),
+    st.integers(1, 5),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.floats(),
+)
+
+
+@st.composite
+def tables(draw):
+    width = draw(st.integers(1, len(COLUMNS)))
+    columns = draw(st.permutations(COLUMNS))[:width]
+    pool = draw(st.lists(cells, min_size=1, max_size=12))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(pool)] * width), max_size=40))
+    return columns, rows
+
+
+def _stdout(writer, rows, columns, fmt: str) -> str:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        writer(rows, columns, argparse.Namespace(out=None, format=fmt))
+    return buffer.getvalue()
+
+
+def _file(writer, rows, columns, fmt: str, path: Path) -> bytes:
+    writer(rows, columns, argparse.Namespace(out=str(path), format=fmt))
+    return path.read_bytes()
+
+
+ZERO_AND_ONE = (
+    ("h", "candidate_level"),
+    [(0.0, 1), (-0.0, 1.0), (0.0, 1), (-0.0, 1.0), (math.nan, None), (math.nan, "R1")],
+)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@settings(max_examples=200, deadline=None)
+@given(table=tables())
+@example(table=ZERO_AND_ONE)
+def test_writer_matches_reference(fmt, table):
+    columns, rows = table
+    assert _stdout(_write_rows, rows, columns, fmt) == _stdout(
+        reference.write_rows, rows, columns, fmt
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        got = _file(_write_rows, rows, columns, fmt, Path(tmp) / "got")
+        want = _file(reference.write_rows, rows, columns, fmt, Path(tmp) / "want")
+    assert got == want
+
+
+@pytest.mark.parametrize("fmt, text", [("csv", "h,price\n"), ("json", "[]\n")])
+def test_zero_rows(fmt, text, tmp_path):
+    assert _stdout(_write_rows, [], ("h", "price"), fmt) == text
+    assert _file(_write_rows, [], ("h", "price"), fmt, tmp_path / "out") == text.encode()
+
+
+def test_signed_zeros_and_non_finite_floats_print_as_json_dumps_does():
+    rows = [(0.0,), (-0.0,), (math.nan,), (math.inf,), (-math.inf,), (0.0,), (-0.0,)]
+    text = _stdout(_write_rows, rows, ("x",), "json")
+    assert [line.split(": ")[1].rstrip(",") for line in text.splitlines() if ": " in line] == [
+        "0.0", "-0.0", "NaN", "Infinity", "-Infinity", "0.0", "-0.0",
+    ]
+    assert _stdout(_write_rows, rows, ("x",), "csv").splitlines()[1:] == [
+        "0", "-0", "nan", "inf", "-inf", "0", "-0",
+    ]
