@@ -146,6 +146,8 @@ def expected_demand(schedule: WtpSchedule, price: float, quality: Quality) -> fl
     Consumers buy when WTP >= price (purchase at indifference), so demand is
     the upper-tail mass from the lowest level whose WTP covers the price.
     """
+    if not isinstance(quality, Quality):
+        raise ParameterError(f"quality must be a Quality, got {quality!r}")
     if not 0.0 <= price <= 1.0:
         raise ParameterError(f"price must lie in [0, 1], got {price}")
     coverage = schedule.coverage_G if quality is Quality.G else schedule.coverage_B

@@ -150,8 +150,11 @@ def signal_distribution(params: ModelParams, quality: Quality) -> dict[Signal, f
     """Pr(signal | quality) over the four (valence, precision) pairs.
 
     Pr(sigma_{q,w} | Q) = Pr(valence | Q; w) * Pr(w), where the valence
-    matches quality with probability w.
+    matches quality with probability w.  Raises ParameterError for a
+    `quality` that is not a Quality member.
     """
+    if not isinstance(quality, Quality):
+        raise ParameterError(f"quality must be a Quality, got {quality!r}")
     out: dict[Signal, float] = {}
     for signal in SIGNALS:
         p_prec = params.gamma if signal.precision is Precision.HIGH else 1.0 - params.gamma

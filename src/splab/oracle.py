@@ -145,12 +145,18 @@ def _first_max(prices: np.ndarray, wtps: np.ndarray, steps: np.ndarray) -> tuple
     """Lowest of the ascending `prices` that earns the most, and that profit.
 
     The prices at or below wtps[0] lie on step 0, those in (wtps[0],
-    wtps[1]] on step 1, and so on, so each step's demand is repeated over
-    its run of prices instead of being looked up price by price.
+    wtps[1]] on step 1, and so on, so each run of prices is multiplied by
+    its step's demand straight into one profits array instead of being
+    looked up price by price.
     """
     ends = np.searchsorted(prices, wtps, side="right")
-    counts = np.diff(ends, prepend=0, append=prices.size)
-    profits = prices * np.repeat(steps, counts)
+    profits = np.empty_like(prices)
+    start = 0
+    for end, step in zip(ends.tolist(), steps.tolist()):
+        np.multiply(prices[start:end], step, out=profits[start:end])
+        start = end
+    # steps has one entry more than wtps: the demand above the top WTP.
+    np.multiply(prices[start:], steps[-1], out=profits[start:])
     i = int(np.argmax(profits))
     return float(prices[i]), float(profits[i])
 
@@ -191,21 +197,18 @@ class SimReport:
         return json.dumps(self.to_dict())
 
 
-_BATCH = 1 << 20  # consumers simulated per vectorized batch
+# Each run of _BATCH draws reads its own Philox stream, keyed by the seed and
+# advanced by start * 3 counter blocks.  advance() skips blocks of four 64-bit
+# outputs, not single uniforms, so batch b starts at uniform 12 * _BATCH * b and
+# _BATCH is part of the stream layout: changing it changes every report above
+# _BATCH draws.
+_BATCH = 1 << 20
+# Draws whose uniforms are held at once: a (2^16, 3) float64 buffer is 1.5 MB,
+# small enough to stay in a 2 MB or larger L2 cache.  _BATCH is a multiple of
+# it, so no chunk straddles two batches.
+_CHUNK = 1 << 16
 _UNIFORMS_PER_DRAW = 3  # type, precision, valence
 _SEED_LIMIT = 2**128  # Philox keys are 128-bit
-
-
-def _batch_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniforms for draws [start, start+count), shape (count, 3).
-
-    Philox is counter-based: advancing the stream to the batch offset makes
-    the result independent of how the total draw count is partitioned, so a
-    seed fully determines the simulation no matter the batching.
-    """
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(start * _UNIFORMS_PER_DRAW)
-    return np.random.Generator(bitgen).random((count, _UNIFORMS_PER_DRAW))
 
 
 def simulate_market(
@@ -217,33 +220,46 @@ def simulate_market(
     (Bernoulli gamma), and a valence (correct with probability equal to the
     precision), then applies that type's posterior and the buy-at-or-below-
     WTP rule.  Returns the mean and standard error (sample std / sqrt(n)).
+    `(seed, draws)` fixes the report.  The uniforms are drawn a chunk at a
+    time into one reused buffer, so memory does not grow with `draws`.
     """
     if not _is_int(draws) or draws < 1:
         raise ParameterError(f"draws must be an int >= 1, got {draws!r}")
     if not _is_int(seed) or not 0 <= seed < _SEED_LIMIT:
         raise ParameterError(f"seed must be an int in [0, 2**128), got {seed!r}")
+    if not isinstance(quality, Quality):
+        raise ParameterError(f"quality must be a Quality, got {quality!r}")
     if not 0.0 <= price <= 1.0:
         raise ParameterError(f"price must lie in [0, 1], got {price}")
 
-    # Whether each cell of the enumeration oracle's table buys: naive then
-    # sophisticated, each over SIGNALS (good-high, bad-high, good-low,
+    # Bit k is set when cell k of the enumeration oracle's table buys: naive
+    # then sophisticated, each over SIGNALS (good-high, bad-high, good-low,
     # bad-low), so a draw's cell is soph*4 + low*2 + bad.
-    buys_in = np.array([wtp >= price for _, wtp in consumer_cells(params, quality)])
+    cells = consumer_cells(params, quality)
+    buyer_bits = np.uint8(sum(1 << k for k, (_, wtp) in enumerate(cells) if wtp >= price))
     good = quality is Quality.G
 
+    buffer = np.empty((min(_CHUNK, draws), _UNIFORMS_PER_DRAW))
     buys = 0
-    done = 0
-    while done < draws:
-        count = min(_BATCH, draws - done)
-        u = _batch_uniforms(seed, done, count)
-        soph = u[:, 0] < params.lam
-        high = u[:, 1] < params.gamma
-        # The valence is bad exactly when it misses a good product or
-        # matches a bad one.
-        bad = (u[:, 2] < np.where(high, params.h, L)) ^ good
-        idx = (soph.view(np.uint8) << 2) | ((~high).view(np.uint8) << 1) | bad.view(np.uint8)
-        buys += int(np.count_nonzero(buys_in[idx]))
-        done += count
+    for batch in range(0, draws, _BATCH):
+        bitgen = np.random.Philox(key=seed)
+        bitgen.advance(batch * _UNIFORMS_PER_DRAW)
+        generator = np.random.Generator(bitgen)
+        for start in range(batch, min(batch + _BATCH, draws), _CHUNK):
+            u = buffer[: min(_CHUNK, draws - start)]
+            generator.random(out=u)
+            soph = u[:, 0] < params.lam
+            high = u[:, 1] < params.gamma
+            # The valence is correct when u[:, 2] < (h if high else L).  As
+            # L <= h, a draw under L is under both, which spares a per-draw
+            # np.where (a branchy pass over a random mask, the slowest step).
+            # It is bad exactly when it misses a good product or matches a
+            # bad one.
+            correct = (u[:, 2] < L) | (high & (u[:, 2] < params.h))
+            bad = correct ^ good
+            # numpy vectorises uint8 multiplies, not uint8 left shifts.
+            idx = soph.view(np.uint8) * 4 | (~high).view(np.uint8) * 2 | bad.view(np.uint8)
+            buys += int(np.count_nonzero((buyer_bits >> idx) & 1))
 
     mean = buys / draws
     if draws > 1:

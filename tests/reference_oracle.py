@@ -1,19 +1,28 @@
-"""Reference grid oracle: the mesh unioned with the candidates, demand cell by cell.
+"""Reference oracle: the forms `splab.oracle` had before it was made lean.
 
-This is the formulation `splab.oracle` used before it scored prices against
+The grid oracle is the formulation used before prices were scored against
 a step table of demand.  Demand at each price adds the eight cells' masses
 one by one, `prob * (price <= wtp)`, and the grid is `union1d` of a fresh
 `linspace` mesh with the in-range candidate prices, so an argmax over it is
 the plain first maximum of an ascending array.  It is slow (a few ms per
-`grid_argmax` on the default grid) and lives in the tests only, where the
-fast oracle must equal it bit for bit.
+`grid_argmax` on the default grid).
+
+The simulation draws each batch's (count, 3) uniforms in one array from a
+Philox stream advanced to the batch's start, as before the uniforms were
+streamed through a reused chunk buffer.  It holds 32 MB per 2^20 draws.
+
+Both live in the tests only, where the fast oracle must equal them bit for
+bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from splab import GridSpec, ModelParams, ParameterError, Quality
+from splab import GridSpec, ModelParams, ParameterError, Quality, SimReport
+from splab.model import L
 from splab.oracle import consumer_cells
 
 
@@ -42,3 +51,37 @@ def grid_argmax(params: ModelParams, quality: Quality, grid: GridSpec) -> tuple[
     profits = prices * demand_by_enumeration(params, quality, prices)
     i = int(np.argmax(profits))
     return float(prices[i]), float(profits[i])
+
+
+_BATCH = 1 << 20
+
+
+def _batch_uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(start * 3)
+    return np.random.Generator(bitgen).random((count, 3))
+
+
+def simulate_market(
+    params: ModelParams, quality: Quality, price: float, draws: int, seed: int
+) -> SimReport:
+    buys_in = np.array([wtp >= price for _, wtp in consumer_cells(params, quality)])
+    good = quality is Quality.G
+    buys = 0
+    done = 0
+    while done < draws:
+        count = min(_BATCH, draws - done)
+        u = _batch_uniforms(seed, done, count)
+        soph = u[:, 0] < params.lam
+        high = u[:, 1] < params.gamma
+        bad = (u[:, 2] < np.where(high, params.h, L)) ^ good
+        idx = (soph.view(np.uint8) << 2) | ((~high).view(np.uint8) << 1) | bad.view(np.uint8)
+        buys += int(np.count_nonzero(buys_in[idx]))
+        done += count
+    mean = buys / draws
+    if draws > 1:
+        var = buys * (1.0 - mean) / (draws - 1)
+        se = math.sqrt(var / draws)
+    else:
+        se = 0.0
+    return SimReport(draws, seed, mean, se, price * mean, price * se)

@@ -1,6 +1,7 @@
 """Unit tests for the brute-force oracle: grid argmax, Monte Carlo, bisection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from splab import (
     demand_by_enumeration,
     expected_demand,
     grid_argmax,
+    signal_distribution,
     simulate_market,
 )
 from splab import oracle
+from splab.oracle import consumer_cells
 
 hs = st.floats(min_value=0.5, max_value=1.0, allow_nan=False)
 lams = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -47,6 +50,44 @@ def grids(draw):
         return draw(st.sampled_from(fixed))
     ends = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True))
     return GridSpec(min(ends), max(ends), draw(st.integers(2, 3000)))
+
+
+@st.composite
+def sim_cases(draw):
+    """(params, price, draws, seed) over the full box, with prices often on a
+    cell's WTP (the buy rule's edge) and the two extreme seeds often."""
+    params = draw(box)
+    wtps = [wtp for _, wtp in consumer_cells(params, Quality.G)]
+    wtps += [wtp for _, wtp in consumer_cells(params, Quality.B)]
+    price = draw(st.one_of(st.sampled_from(wtps), st.floats(0.0, 1.0)))
+    draws = draw(st.integers(1, 3000))
+    seed = draw(st.one_of(st.sampled_from([0, 2**128 - 1]), st.integers(0, 2**128 - 1)))
+    return params, price, draws, seed
+
+
+# A point off the baseline, and the price of one of its WTPs, for the draw
+# counts around the 2^16-draw chunk and the 2^20-draw Philox batch.
+_EDGE = ModelParams(h=0.8, lam=0.5, v_B=0.1, gamma=0.3, mu0=0.6)
+_EDGE_PRICE = consumer_cells(_EDGE, Quality.G)[1][1]
+
+_POINT = ModelParams(h=0.8, lam=0.5, v_B=0.1)
+_QUALITY_TAKERS = {
+    "signal_distribution": lambda q: signal_distribution(_POINT, q),
+    "consumer_cells": lambda q: consumer_cells(_POINT, q),
+    "demand_by_enumeration": lambda q: demand_by_enumeration(_POINT, q, 0.55),
+    "grid_argmax": lambda q: grid_argmax(_POINT, q),
+    "simulate_market": lambda q: simulate_market(_POINT, q, 0.55, 10, 0),
+    "expected_demand": lambda q: expected_demand(build_wtp_schedule(_POINT), 0.55, q),
+}
+
+
+@pytest.mark.parametrize("name", list(_QUALITY_TAKERS))
+@pytest.mark.parametrize("quality", ["G", "B", None])
+def test_quality_must_be_a_member(name, quality):
+    # Strings are not accepted either: "G" must not pass for Quality.G, nor
+    # anything else for Quality.B.
+    with pytest.raises(ParameterError):
+        _QUALITY_TAKERS[name](quality)
 
 
 class TestEnumeration:
@@ -190,6 +231,34 @@ class TestSimulation:
         params = ModelParams(h=0.8, lam=0.5, v_B=0.1)
         with pytest.raises(ParameterError):
             simulate_market(params, Quality.G, 0.5, draws=draws, seed=seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=sim_cases())
+    @example(case=(_EDGE, _EDGE_PRICE, 1, 2**128 - 1))
+    @example(case=(_EDGE, _EDGE_PRICE, 2**16 - 1, 0))
+    @example(case=(_EDGE, _EDGE_PRICE, 2**16, 2**128 - 1))
+    @example(case=(_EDGE, _EDGE_PRICE, 2**16 + 1, 0))
+    @example(case=(_EDGE, _EDGE_PRICE, 2**20, 7))
+    @example(case=(_EDGE, _EDGE_PRICE, 2**20 + 1, 0))
+    @example(case=(_EDGE, _EDGE_PRICE, 2**21 + 3, 2**128 - 1))
+    def test_equals_batch_loop_reference(self, case):
+        params, price, draws, seed = case
+        for quality in Quality:
+            got = simulate_market(params, quality, price, draws, seed)
+            want = reference.simulate_market(params, quality, price, draws, seed)
+            assert got.to_json() == want.to_json()
+
+    def test_memory_does_not_grow_with_draws(self):
+        # numpy reports its buffers to tracemalloc; one 2^20-draw batch of
+        # uniforms alone would be 24 MB.
+        params = ModelParams(h=0.8, lam=0.5, v_B=0.1)
+        tracemalloc.start()
+        try:
+            simulate_market(params, Quality.G, 0.55, draws=4_000_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_different_seed_differs(self):
         params = ModelParams(h=0.73, lam=0.42, v_B=0.18)
