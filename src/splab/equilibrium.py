@@ -20,9 +20,13 @@ not covered and raise UnsupportedVariantError.
 Comparative-statics thresholds in the baseline come from exact roots.  Each
 WTP level's profit_G is quadratic in h and linear in lam, so every pairwise
 tie is a quadratic root in h (cancellation-free form) or a linear root in
-lam, and h_underline, h_overline and v_bar have closed forms.  Only the two
-three-way ties lambda_hat1 and lambda_hat3, which have none, bisect over
-those closed-form roots.  The precision-mix thresholds (gamma_switch,
+lam, and h_underline, h_overline and v_bar have closed forms.  At one
+(lam, v_B) the sorted pairwise ties in h split (0.5, 1) into a level map:
+pieces on which no two levels swap order, so one evaluation per piece gives
+its argmax level, and h_hat1, h_star and h_hat3 are the left ends of the
+first pieces whose level exceeds 1, 2 and 3.  Only the two three-way ties
+lambda_hat1 and lambda_hat3, which have no closed form, bisect over the
+closed-form pairwise ties.  The precision-mix thresholds (gamma_switch,
 gamma_thresholds) are radicals too; only the prior thresholds (hstar_prior,
 prior_mu_lower) still bisect.  The tests and `splab verify` check the engine
 against bisection on the ladder itself.
@@ -298,17 +302,14 @@ def _eval(q: Quadratic, x: float) -> float:
     return q[0] + x * (q[1] + x * q[2])
 
 
+def _at_lambda(a: Quadratic, b: Quadratic, lam: float) -> Quadratic:
+    """A(t) + lam * B(t) as one quadratic in t."""
+    return (a[0] + lam * b[0], a[1] + lam * b[1], a[2] + lam * b[2])
+
+
 def _profits_at(lam: float, v_B: float) -> list[Quadratic]:
     """The five levels' profit_G at this lam, as quadratics in t = h - 0.5."""
-    return [
-        (a[0] + lam * b[0], a[1] + lam * b[1], a[2] + lam * b[2])
-        for a, b in _profit_polys(v_B)
-    ]
-
-
-def _poly_profit_G(h: float, lam: float, v_B: float, level: int) -> float:
-    a, b = _profit_polys(v_B)[level - 1]
-    return _eval(a, h - 0.5) + lam * _eval(b, h - 0.5)
+    return [_at_lambda(a, b, lam) for a, b in _profit_polys(v_B)]
 
 
 def _roots(q: Quadratic) -> list[float]:
@@ -364,31 +365,39 @@ def _tie_lambda(h: float, v_B: float, low: int, high: int) -> Optional[float]:
     return _bracketed_root((_eval(a, h - 0.5), _eval(b, h - 0.5), 0.0), 0.0, 1.0)
 
 
-def _level_boundary(lam: float, v_B: float, max_level: int) -> float:
-    """Smallest h above which the profit argmax leaves levels 1..max_level.
+def _level_boundaries(lam: float, v_B: float) -> tuple[float, float, float]:
+    """Smallest h above which the profit argmax leaves levels 1..m, m = 1, 2, 3.
 
-    That is the left end of the first interval of (0.5, 1) on which some
-    level above max_level strictly beats every level at or below it (ties
-    go to the lower level, as in best_pooling_candidate), or 1.0 when the
-    argmax at h = 1 is still at or below max_level.  The interval edges are
-    the roots of P_i - P_j for i <= max_level < j; between two edges no
-    such difference changes sign, so one test at the midpoint decides the
-    whole interval.  Nothing here assumes the argmax rises monotonically
-    in h: the first switch is found even if a later one switches back.
+    Each is the left end of the first piece of the level map on which the
+    argmax level (ties to the lower level, as in best_pooling_candidate)
+    exceeds m, or 1.0 when the argmax at h = 1 is still at or below m.  The
+    map's edges are the sorted roots t = h - 0.5 in (0, 0.5) of every
+    P_i - P_j; between two edges no two levels swap order, so one evaluation
+    at the midpoint gives the level of the whole piece.  Nothing here assumes the argmax
+    rises monotonically in h: the first switch is found even if a later one
+    switches back.  The scan stops at the first piece that settles all three.
     """
-    if _argmax_level(1.0, lam, v_B) <= max_level:
-        return 1.0
+    bounds = [1.0, 1.0, 1.0]
+    wanted = min(_argmax_level(1.0, lam, v_B) - 1, 3)
+    if wanted == 0:
+        return 1.0, 1.0, 1.0
     profits = _profits_at(lam, v_B)
     edges = {0.0, 0.5}
-    for low in profits[:max_level]:
-        for high in profits[max_level:]:
+    for i, low in enumerate(profits):
+        for high in profits[i + 1:]:
             edges.update(r for r in _roots(_sub(low, high)) if 0.0 < r < 0.5)
     ordered = sorted(edges)
+    found = 0
     for left, right in zip(ordered, ordered[1:]):
-        values = [_eval(q, 0.5 * (left + right)) for q in profits]
-        if max(values[max_level:]) > max(values[:max_level]):
-            return 0.5 + left
-    return 1.0
+        mid = 0.5 * (left + right)
+        values = [_eval(q, mid) for q in profits]
+        # bounds[m - 1] is settled by the first piece whose level exceeds m.
+        while found < wanted and values.index(max(values)) > found:
+            bounds[found] = 0.5 + left
+            found += 1
+        if found == wanted:
+            break
+    return bounds[0], bounds[1], bounds[2]
 
 
 class _NoTie(Exception):
@@ -414,20 +423,31 @@ def _structure_constants(v_B: float) -> _StructureConstants:
     lambda_hat3: where levels 1, 2, 3 tie three ways -- same idea on the
         level-1/2 tie curve.
     The two three-way ties have no closed form, so an outer bisection runs
-    over the closed-form inner ties.
+    over the closed-form inner ties, reading the three levels' (A, B)
+    quadratics fetched once per v_B.
     """
     eps = 1e-6
+    polys = _profit_polys(v_B)
     lambda_hat2 = _tie_lambda(1.0, v_B, 3, 4)
 
     def three_way_tie(low: int, high: int, other: int, bracket) -> Optional[float]:
         """lambda where level `other` meets the low/high tie; None once that
         tie leaves h in (0.5, 1] (v_B within two ulps of 1)."""
+        (a_low, b_low), (a_high, b_high), (a_other, b_other) = (
+            polys[low - 1], polys[high - 1], polys[other - 1]
+        )
 
         def excess(lam: float) -> float:
-            t = _tie_h(lam, v_B, low, high)
+            # _tie_h's root, then each level's A(t) + lam * B(t) there, read
+            # off the three hoisted rungs with the same float operations.
+            q = _sub(_at_lambda(a_low, b_low, lam), _at_lambda(a_high, b_high, lam))
+            t = _bracketed_root(q, 0.0, 0.5)
             if t is None:
                 raise _NoTie
-            return _poly_profit_G(t, lam, v_B, low) - _poly_profit_G(t, lam, v_B, other)
+            x = (0.5 + t) - 0.5  # the h _tie_h returns, back in t = h - 0.5
+            return (_eval(a_low, x) + lam * _eval(b_low, x)) - (
+                _eval(a_other, x) + lam * _eval(b_other, x)
+            )
 
         try:
             return bisect_threshold(excess, bracket)
@@ -534,12 +554,12 @@ def thresholds(params: ModelParams) -> ThresholdSet:
     lam, v = params.lam, params.v_B
     consts = _structure_constants(v)
 
-    h_star = _level_boundary(lam, v, 2)
+    h_hat1, h_star, boundary3 = _level_boundaries(lam, v)
     return ThresholdSet(
         h_star=h_star,
-        h_hat1=_level_boundary(lam, v, 1),
+        h_hat1=h_hat1,
         h_hat2=_with_existence(h_star, lam, v, level=2),
-        h_hat3=_with_existence(_level_boundary(lam, v, 3), lam, v, level=3),
+        h_hat3=_with_existence(boundary3, lam, v, level=3),
         lambda_hat1=consts.lambda_hat1,
         lambda_hat2=consts.lambda_hat2,
         lambda_hat3=consts.lambda_hat3,

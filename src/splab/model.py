@@ -105,6 +105,20 @@ class ModelParams:
     mu0: float = 0.5
 
     def __post_init__(self) -> None:
+        h, lam, v_B, gamma, mu0 = self.h, self.lam, self.v_B, self.gamma, self.mu0
+        # Five in-range floats pass in one test (NaN fails every comparison);
+        # anything else goes through _validate, which converts and names the
+        # first bad field.
+        if (
+            type(h) is float and type(lam) is float and type(v_B) is float
+            and type(gamma) is float and type(mu0) is float
+            and 0.5 <= h <= 1.0 and 0.0 <= lam <= 1.0 and 0.0 <= v_B < V_G
+            and 0.0 < gamma < 1.0 and 0.0 <= mu0 <= 1.0
+        ):
+            return
+        self._validate()
+
+    def _validate(self) -> None:
         for name in ("h", "lam", "v_B", "gamma", "mu0"):
             value = getattr(self, name)
             object.__setattr__(self, name, float(value))

@@ -5,6 +5,9 @@ the candidate argmax, the extension aliases, the ladder build, ...).  A
 refactor that deletes or renames one of them, or that stops calling
 `cli.classify_equilibrium` once per grid point (the traced run tallies the
 region kinds there), would otherwise fail only in traced benchmark runs.
+Likewise a three-way tie that stops calling `bisect_threshold` through the
+module global, or a `_structure_constants` that is no longer the cached
+function, would zero the traced `threshold-table` counters silently.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from pathlib import Path
 
 import splab.cli as cli
 import splab.equilibrium as equilibrium
+from splab import ModelParams
 from test_cli_golden import CASES, GOLDEN_DIR
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -61,3 +65,22 @@ def test_trace_tallies_every_grid_point(monkeypatch, tmp_path):
     }
     assert kinds == Counter(labels)
     assert tracer.counts["cli.rows"] == len(labels)
+
+
+def test_trace_counts_threshold_bisection(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    from tracer import Tracer
+
+    misses = equilibrium._structure_constants.cache_info().misses
+    tracer = Tracer()
+    layers.install(tracer)
+    tracer.active = True
+    try:
+        # A v_B no other test uses, so the structure constants are cold.
+        equilibrium.thresholds(ModelParams(h=0.7, lam=0.3, v_B=0.2718281828459045))
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert tracer.counts["oracle.bisect_evals"] > 0
+    assert equilibrium._structure_constants.cache_info().misses > misses

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -179,6 +180,47 @@ class TestValidation:
     def test_parameter_errors(self, kwargs):
         with pytest.raises(ParameterError):
             ModelParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(h=math.nan), "h must be finite, got nan"),
+            (dict(lam=math.inf), "lam must be finite, got inf"),
+            (dict(v_B=-math.inf), "v_B must be finite, got -inf"),
+            (dict(gamma=math.nan), "gamma must be finite, got nan"),
+            (dict(mu0=math.inf), "mu0 must be finite, got inf"),
+            (dict(h=0.49), "h must lie in [0.5, 1], got 0.49"),
+            (dict(lam=-0.1), "lam must lie in [0, 1], got -0.1"),
+            (dict(v_B=1), "v_B must lie in [0, 1), got 1.0"),
+            (dict(gamma=0.0), "gamma must lie in (0, 1), got 0.0"),
+            (dict(mu0=1.5), "mu0 must lie in [0, 1], got 1.5"),
+            # Every field is checked for finiteness before any range, in
+            # field order.
+            (dict(h=2.0, lam=math.nan), "lam must be finite, got nan"),
+            (dict(h=2.0, lam=2.0), "h must lie in [0.5, 1], got 2.0"),
+            (dict(lam=2.0, mu0=math.nan), "mu0 must be finite, got nan"),
+            (dict(v_B=np.float64(-1.0), gamma=0.0), "v_B must lie in [0, 1), got -1.0"),
+            (dict(gamma=1, mu0=-1), "gamma must lie in (0, 1), got 1.0"),
+        ],
+    )
+    def test_error_messages_and_order(self, kwargs, message):
+        with pytest.raises(ParameterError) as exc:
+            ModelParams(**{"h": 0.8, "lam": 0.5, "v_B": 0.2, **kwargs})
+        assert str(exc.value) == message
+
+    def test_non_numbers_raise_as_float_does(self):
+        with pytest.raises(TypeError):
+            ModelParams(h=None, lam=0.0, v_B=0.0)
+        with pytest.raises(ValueError):
+            ModelParams(h=0.8, lam="half", v_B=0.0)
+
+    def test_fields_become_floats(self):
+        params = ModelParams(h=1, lam=True, v_B=np.float64(0.25), gamma=np.float64(0.5), mu0=False)
+        values = (params.h, params.lam, params.v_B, params.gamma, params.mu0)
+        assert values == (1.0, 1.0, 0.25, 0.5, 0.0)
+        assert all(type(value) is float for value in values)
+        lam = ModelParams(h=0.5, lam=-0.0, v_B=0.0).lam
+        assert type(lam) is float and math.copysign(1.0, lam) == -1.0
 
     def test_pinned_constants_rejected(self):
         # L = 0.5 and V_G = 1 are constants of the model, not parameters.
