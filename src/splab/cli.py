@@ -14,6 +14,9 @@ Parameters are given as flags (``--h``, ``--lambda``, ``--vb``, ``--gamma``,
 config file (``--config``) may supply the same keys; explicit flags override
 it.  Output goes to ``--out`` or stdout as CSV (default) or JSON; floats are
 fixed at 12 significant digits so identical runs are byte-identical.
+``--stats`` adds one JSON line on stderr: the points, the tally of their
+labels, how many the batched and the scalar path solved, and the seconds
+spent parsing, solving and writing.  Stdout does not change.
 
 Examples:
     splab solve --h 0.7 --lambda 1 --vb 0.1
@@ -34,6 +37,8 @@ import math
 import operator
 import os
 import sys
+import time
+from collections import Counter
 from dataclasses import astuple, fields
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional, Sequence
@@ -42,9 +47,11 @@ import numpy as np
 
 from .demand import build_wtp_schedule, expected_demand
 from .equilibrium import (
+    PoolingCandidate,
     ThresholdSet,
     _argmax_level,
     _level_profit_G,
+    best_pooling_candidates,
     classify_equilibrium,
     compare_markets,
     solve_pooling,
@@ -72,6 +79,11 @@ class UsageError(Exception):
 #: The grid axes, in ModelParams' field order.
 AXIS_ORDER = ("h", "lambda", "v_B", "gamma", "mu0")
 AXIS_DEFAULTS = {"lambda": 0.0, "v_B": 0.1, "gamma": 0.5, "mu0": 0.5}
+#: Each axis's flag (without dashes) and argparse dest, in AXIS_ORDER.
+AXIS_FLAGS = {
+    "h": ("h", "h"), "lambda": ("lambda", "lam"), "v_B": ("vb", "vb"),
+    "gamma": ("gamma", "gamma"), "mu0": ("mu0", "mu0"),
+}
 CONFIG_KEYS = set(AXIS_ORDER) | {"format", "out"}
 #: Seeded points at which `verify` compares the threshold closed forms with
 #: bisection on the ladder.
@@ -85,6 +97,9 @@ MAX_VERIFY_SEED = 2**128 - 6
 #: Most distinct values one output column formats once and keeps: enough for
 #: a 1001-step axis and the prices of a 501 x 501 map.
 CELL_CACHE_SIZE = 4096
+#: Most grid points whose candidate argmax one numpy pass computes, so the
+#: pass holds a few hundred kB of arrays whatever the grid's size.
+GRID_CHUNK = 4096
 
 SOLVE_COLUMNS = (
     *AXIS_ORDER,
@@ -142,18 +157,25 @@ class _ColumnCells(dict):
 def parse_axis(raw, name: str) -> tuple[float, float, int]:
     """A scalar or a 'min:max:steps' range, as (min, max, steps).
 
-    A scalar v is (v, v, 1).  Nothing is allocated here, so the grid size
-    can be bounded before any axis is built.
+    `name` is the flag, without its dashes.  A scalar v is (v, v, 1), and
+    every value must be finite.  Nothing is allocated here, so the grid size
+    can be bounded, and bad values refused, before any axis is built.
     """
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(raw), float(raw), 1
+        try:
+            value = float(raw)
+        except OverflowError as exc:
+            raise UsageError(f"--{name} values must be finite, got {raw!r}") from exc
+        _require_finite(name, repr(raw), value)
+        return value, value, 1
     text = str(raw).strip()
     if ":" not in text:
         try:
             value = float(text)
-            return value, value, 1
         except ValueError as exc:
             raise UsageError(f"cannot parse --{name} value {text!r}") from exc
+        _require_finite(name, text, value)
+        return value, value, 1
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"--{name} range must be min:max:steps, got {text!r}")
@@ -161,11 +183,17 @@ def parse_axis(raw, name: str) -> tuple[float, float, int]:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"--{name} range must be min:max:steps, got {text!r}") from exc
+    _require_finite(name, text, lo, hi)
     if steps < 2:
         raise UsageError(f"--{name}: swept axis needs steps >= 2, got {steps}")
     if not lo < hi:
         raise UsageError(f"--{name}: range needs min < max, got {text!r}")
     return lo, hi, steps
+
+
+def _require_finite(name: str, text: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"--{name} values must be finite, got {text!r}")
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -189,17 +217,16 @@ def _load_config(path: Optional[str]) -> dict:
 
 def _resolve_axes(args, config: dict) -> dict[str, list[float]]:
     """Merge flags over config over defaults into per-axis value lists."""
-    flag_names = {"h": "h", "lambda": "lam", "v_B": "vb", "gamma": "gamma", "mu0": "mu0"}
     specs: dict[str, tuple[float, float, int]] = {}
-    for axis in AXIS_ORDER:
-        raw = getattr(args, flag_names[axis])
+    for axis, (flag, dest) in AXIS_FLAGS.items():
+        raw = getattr(args, dest)
         if raw is None:
             raw = config.get(axis)
         if raw is None:
             if axis == "h":
                 raise UsageError("--h is required (scalar or min:max:steps)")
             raw = AXIS_DEFAULTS[axis]
-        specs[axis] = parse_axis(raw, axis)
+        specs[axis] = parse_axis(raw, flag)
     size = math.prod(steps for _, _, steps in specs.values())
     if size > MAX_GRID_POINTS:
         raise UsageError(f"grid has {size} points; at most {MAX_GRID_POINTS} allowed")
@@ -209,16 +236,60 @@ def _resolve_axes(args, config: dict) -> dict[str, list[float]]:
     }
 
 
-def _grid(axes: dict[str, list[float]]) -> Iterator[tuple[tuple[float, ...], ModelParams]]:
-    """Each grid point's axis values, in AXIS_ORDER, with its ModelParams."""
-    for values in itertools.product(*(axes[a] for a in AXIS_ORDER)):
-        yield values, ModelParams(*values)
+def _grid(
+    axes: dict[str, list[float]], counts: Counter
+) -> Iterator[tuple[tuple[float, ...], ModelParams, Optional[PoolingCandidate]]]:
+    """Each grid point's axis values, in AXIS_ORDER, its ModelParams and,
+    at a baseline point (gamma = mu0 = 0.5), its pooling candidate.
+
+    The points go in chunks of at most GRID_CHUNK.  One numpy pass takes the
+    argmax at a chunk's baseline points (best_pooling_candidates), and its
+    arrays are turned into lists before the chunk's first point is yielded;
+    the other points get None, and the solver takes its scalar path there.
+    `counts["batched"]` adds up the points that got a candidate.  ModelParams
+    is built as each point is yielded, so a bad value raises at the same
+    point as on the scalar path.
+    """
+    columns = [np.array(axes[axis]) for axis in AXIS_ORDER]
+    # Point i of the product sits at i // strides[k] % len(columns[k]) on axis k.
+    strides = [math.prod(map(len, columns[k + 1:])) for k in range(len(columns))]
+    size = strides[0] * len(columns[0])
+    points = itertools.product(*(axes[axis] for axis in AXIS_ORDER))
+    for start in range(0, size, GRID_CHUNK):
+        chunk = min(GRID_CHUNK, size - start)
+        candidates = _chunk_candidates(columns, strides, start, chunk, counts)
+        for values, candidate in zip(itertools.islice(points, chunk), candidates):
+            yield values, ModelParams(*values), candidate
 
 
-def _solve_rows(axes: dict[str, list[float]]) -> list[tuple]:
+def _chunk_candidates(
+    columns: list[np.ndarray], strides: list[int], start: int, chunk: int, counts: Counter
+) -> Iterator[Optional[PoolingCandidate]]:
+    """The candidate of each of the grid points start .. start + chunk - 1:
+    best_pooling_candidates at the baseline points, None elsewhere."""
+    flat = np.arange(start, start + chunk)
+    h, lam, v_B, gamma, mu0 = (
+        column[flat // stride % len(column)] for column, stride in zip(columns, strides)
+    )
+    base = (gamma == 0.5) & (mu0 == 0.5)
+    batched = int(np.count_nonzero(base))
+    counts["batched"] += batched
+    if not batched:
+        return itertools.repeat(None, chunk)
+    # A value outside the parameter box makes a candidate that is never used
+    # (ModelParams rejects the point first), so its float warnings are muted.
+    with np.errstate(all="ignore"):
+        arrays = best_pooling_candidates(h[base], lam[base], v_B[base])
+    found = map(PoolingCandidate, *(array.tolist() for array in arrays))
+    if batched == chunk:
+        return found
+    return (next(found) if is_base else None for is_base in base.tolist())
+
+
+def _solve_rows(axes: dict[str, list[float]], counts: Counter) -> list[tuple]:
     rows = []
-    for values, params in _grid(axes):
-        _, out = classify_equilibrium(params)
+    for values, params, candidate in _grid(axes, counts):
+        _, out = classify_equilibrium(params, candidate)
         rows.append((
             *values, out.kind, out.price, out.low_price, out.alpha,
             out.profit_G, out.profit_B, out.region, out.candidate_level,
@@ -226,10 +297,10 @@ def _solve_rows(axes: dict[str, list[float]]) -> list[tuple]:
     return rows
 
 
-def _region_rows(axes: dict[str, list[float]]) -> list[tuple]:
+def _region_rows(axes: dict[str, list[float]], counts: Counter) -> list[tuple]:
     rows = []
-    for values, params in _grid(axes):
-        label, out = classify_equilibrium(params)
+    for values, params, candidate in _grid(axes, counts):
+        label, out = classify_equilibrium(params, candidate)
         rows.append((*values, label, out.price, out.profit_G, out.profit_B))
     return rows
 
@@ -257,8 +328,8 @@ def _threshold_rows(axes: dict[str, list[float]]) -> list[tuple]:
     for axis in AXIS_ORDER:
         if len(axes[axis]) != 1:
             raise UsageError("thresholds takes scalar parameters only")
-    values, params = next(_grid(axes))
-    return [(*values[:3], *astuple(thresholds(params)))]
+    values = tuple(axes[axis][0] for axis in AXIS_ORDER)
+    return [(*values[:3], *astuple(thresholds(ModelParams(*values))))]
 
 
 def _write_rows(rows: Sequence[tuple], columns: Sequence[str], args) -> None:
@@ -541,10 +612,44 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu0", dest="mu0", help="prior Pr(G): scalar or range")
         p.add_argument("--out", help="output file (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+        p.add_argument(
+            "--stats", action="store_true",
+            help="print points, label tally and stage seconds to stderr as one JSON line",
+        )
     return parser
 
 
-def _run_command(args) -> int:
+def _label(columns: Sequence[str]):
+    """Each row's region label (R1..R4, mixed, none), or None for commands
+    whose rows carry none."""
+    if "classification" in columns:
+        return operator.itemgetter(columns.index("classification"))
+    if "region" in columns:
+        region, kind = columns.index("region"), columns.index("kind")
+        return lambda row: row[region] or row[kind]
+    return None
+
+
+def _print_stats(args, rows: Sequence[tuple], columns: Sequence[str], batched: int,
+                 times: tuple[float, float, float, float]) -> None:
+    """The --stats line.  The tally is read off the finished rows."""
+    label = _label(columns)
+    tally = Counter(map(label, rows)) if label else Counter()
+    started, parsed, solved, written = times
+    stats = {
+        "command": args.command,
+        "points": len(rows),
+        "kinds": dict(sorted(tally.items())),
+        "batched": batched,
+        "scalar": len(rows) - batched,
+        "parse_s": round(parsed - started, 6),
+        "solve_s": round(solved - parsed, 6),
+        "write_s": round(written - solved, 6),
+    }
+    print(json.dumps(stats), file=sys.stderr)
+
+
+def _run_command(args, started: float) -> int:
     config = _load_config(args.config)
     if args.format is None:
         config_format = config.get("format")
@@ -555,14 +660,16 @@ def _run_command(args) -> int:
     if args.out is None:
         args.out = config.get("out")
     axes = _resolve_axes(args, config)
+    parsed = time.perf_counter()
+    counts: Counter = Counter()
     if args.command == "solve":
         if any(len(values) > 1 for values in axes.values()):
             raise UsageError("solve takes scalar parameters; use sweep for grids")
-        rows, columns = _solve_rows(axes), SOLVE_COLUMNS
+        rows, columns = _solve_rows(axes, counts), SOLVE_COLUMNS
     elif args.command == "sweep":
-        rows, columns = _solve_rows(axes), SOLVE_COLUMNS
+        rows, columns = _solve_rows(axes, counts), SOLVE_COLUMNS
     elif args.command == "regions":
-        rows, columns = _region_rows(axes), REGION_COLUMNS
+        rows, columns = _region_rows(axes, counts), REGION_COLUMNS
     elif args.command == "compare":
         # The default lambda is indistinguishable from an explicit one in
         # `axes`, so the flag and the config key are checked here.
@@ -573,15 +680,23 @@ def _run_command(args) -> int:
         rows, columns = _compare_rows(axes), COMPARE_COLUMNS
     else:  # thresholds
         rows, columns = _threshold_rows(axes), THRESHOLD_COLUMNS
+    solved = time.perf_counter()
     _write_rows(rows, columns, args)
+    if args.stats:
+        times = (started, parsed, solved, time.perf_counter())
+        _print_stats(args, rows, columns, counts["batched"], times)
     return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    started = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _run_verify(args) if args.command == "verify" else _run_command(args)
+        if args.command == "verify":
+            code = _run_verify(args)
+        else:
+            code = _run_command(args, started)
         sys.stdout.flush()
         return code
     except (UsageError, ParameterError, UnsupportedVariantError) as exc:

@@ -20,6 +20,9 @@ The ladder exists for the baseline only (off it the equilibrium module
 prices the fully naive market from its two naive WTPs).  `ladder` returns
 its floats as flat tuples, which the solver and threshold engine read;
 `build_wtp_schedule` wraps the same floats in WtpLevel/WtpSchedule objects.
+Both read `ladder_fields`, whose one body of arithmetic also runs on numpy
+arrays for the batched grid, so a grid point and a scalar call agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -29,13 +32,11 @@ from dataclasses import asdict, dataclass
 
 from .model import (
     L,
+    V_G,
     ModelParams,
     ParameterError,
     Quality,
     UnsupportedVariantError,
-    _bayes,
-    w_bar,
-    wtp_from_posterior,
 )
 
 #: Population segment behind each WTP level, lowest to highest.
@@ -98,18 +99,38 @@ def ladder(params: ModelParams) -> tuple[tuple[float, ...], ...]:
             f"baseline (gamma=0.5, mu0=0.5); got gamma={params.gamma}, "
             f"mu0={params.mu0}"
         )
-    h, mu0, wb = params.h, params.mu0, w_bar(params)
+    return ladder_fields(params.h, params.lam, params.v_B)
+
+
+#: gamma and mu0 of the symmetric baseline, the only variant with a ladder.
+BASE = 0.5
+
+
+def ladder_fields(h, lam, v_B) -> tuple[tuple, ...]:
+    """`ladder` at the baseline point (h, lam, v_B), unvalidated.
+
+    The fields may be floats or numpy arrays that broadcast together; every
+    step is one elementwise IEEE operation in a fixed order, so an array
+    element rounds exactly as the float call does.  Each rung's posterior and
+    WTP are the expressions of `model.w_bar`, `model._bayes` and
+    `model.wtp_from_posterior`, less `_bayes`'s zero-denominator guard,
+    which is not array-safe and never fires here: at mu0 = 0.5 the two
+    likelihoods sum to 1, so the denominator is about 1/2.
+    """
+    wb = BASE * h + (1.0 - BASE) * L
+    wtps = []
     # Pr(signal | G), Pr(signal | B) of each rung's signal, in CONSUMER_LABELS order.
-    likelihoods = ((1.0 - h, h), (1.0 - wb, wb), (L, 1.0 - L), (wb, 1.0 - wb), (h, 1.0 - h))
-    wtps = tuple([wtp_from_posterior(_bayes(mu0, g, b), params) for g, b in likelihoods])
-    mass_G = _rung_masses(params)
-    return wtps, _suffix_sums(mass_G), _suffix_sums(mass_G[::-1])
+    for like_G, like_B in ((1.0 - h, h), (1.0 - wb, wb), (L, 1.0 - L), (wb, 1.0 - wb), (h, 1.0 - h)):
+        num = BASE * like_G
+        mu = num / (num + (1.0 - BASE) * like_B)
+        wtps.append(mu * V_G + (1.0 - mu) * v_B)
+    mass_G = _rung_masses(h, lam)
+    return tuple(wtps), _suffix_sums(mass_G), _suffix_sums(mass_G[::-1])
 
 
-def _rung_masses(params: ModelParams) -> tuple[float, ...]:
+def _rung_masses(h, lam) -> tuple:
     """Mass of (consumer type, signal cell) behind each rung when Q = G;
     a bad product sees the mirror image, so its masses are these reversed."""
-    h, lam = params.h, params.lam
     return (
         lam * (1.0 - h) / 2.0,
         (1.0 - lam) * (3.0 - 2.0 * h) / 4.0,
@@ -119,7 +140,7 @@ def _rung_masses(params: ModelParams) -> tuple[float, ...]:
     )
 
 
-def _suffix_sums(m: tuple[float, ...]) -> tuple[float, ...]:
+def _suffix_sums(m: tuple) -> tuple:
     """(m0+...+m4, m1+...+m4, ..., m4), added from the top rung down onto
     0.0, so that a -0.0 mass (lam = -0.0) sums to +0.0."""
     s4 = m[4] + 0.0
@@ -132,7 +153,7 @@ def _suffix_sums(m: tuple[float, ...]) -> tuple[float, ...]:
 def build_wtp_schedule(params: ModelParams) -> WtpSchedule:
     """`ladder(params)` as WtpLevels; UnsupportedVariantError off the baseline."""
     wtps, coverage_G, coverage_B = ladder(params)
-    mass_G = _rung_masses(params)
+    mass_G = _rung_masses(params.h, params.lam)
     levels = tuple(
         WtpLevel(k + 1, wtps[k], mass_G[k], mass_G[4 - k], CONSUMER_LABELS[k])
         for k in range(5)

@@ -40,8 +40,10 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 # build_wtp_schedule and expected_demand stay importable for the trace hooks.
-from .demand import build_wtp_schedule, expected_demand, ladder  # noqa: F401
+from .demand import build_wtp_schedule, expected_demand, ladder, ladder_fields  # noqa: F401
 from .model import (
     ModelParams,
     ParameterError,
@@ -129,6 +131,41 @@ def best_pooling_candidate(params: ModelParams) -> PoolingCandidate:
     return PoolingCandidate(price, level, best_profit, price * cov_B[rungs[best]])
 
 
+#: best_pooling_candidates' level of each candidate index, v_B's None last.
+_CANDIDATE_LEVELS = np.array([1, 2, 3, 4, 5, None], dtype=object)
+
+
+def best_pooling_candidates(h, lam, v_B) -> tuple[np.ndarray, ...]:
+    """best_pooling_candidate at many baseline points, as arrays.
+
+    h, lam and v_B are float arrays that broadcast together; they are not
+    validated.  Returns (price, level, profit_G, profit_B), one entry per
+    point, with level an object array holding None where v_B wins.  The
+    ladder is `ladder_fields` on the arrays, v_B's coverage is that of the
+    lowest rung covering it, and the six candidates are scanned in the
+    scalar order with its tie-break, so every field equals the scalar
+    argmax's bit for bit.
+    """
+    h, lam, v_B = np.broadcast_arrays(h, lam, v_B)
+    wtps, cov_G, cov_B = ladder_fields(h, lam, v_B)
+    v_cov_G = v_cov_B = np.zeros_like(v_B)
+    for k in range(4, -1, -1):
+        covered = v_B <= wtps[k]
+        v_cov_G = np.where(covered, cov_G[k], v_cov_G)
+        v_cov_B = np.where(covered, cov_B[k], v_cov_B)
+    prices = (*wtps, v_B)
+    best = np.zeros(v_B.shape, dtype=np.intp)
+    best_price, best_profit = prices[0], prices[0] * cov_G[0]
+    for i, coverage in enumerate((*cov_G[1:], v_cov_G), start=1):
+        profit = prices[i] * coverage
+        wins = (profit > best_profit) | ((profit == best_profit) & (prices[i] < best_price))
+        best = np.where(wins, i, best)
+        best_price = np.where(wins, prices[i], best_price)
+        best_profit = np.where(wins, profit, best_profit)
+    profit_B = best_price * np.choose(best, (*cov_B, v_cov_B))
+    return best_price, _CANDIDATE_LEVELS[best], best_profit, profit_B
+
+
 def _naive_prices(params: ModelParams) -> tuple[float, float, float]:
     """(bad-signal WTP, good-signal WTP, w_bar) of the fully naive market.
 
@@ -156,17 +193,24 @@ def _naive_candidate(params: ModelParams) -> PoolingCandidate:
     return PoolingCandidate(p_high, 4, profit_high, p_high * (1.0 - wb))
 
 
-def solve_pooling(params: ModelParams) -> EquilibriumOutcome:
+def solve_pooling(
+    params: ModelParams, candidate: Optional[PoolingCandidate] = None
+) -> EquilibriumOutcome:
     """Pooling equilibrium, or kind=none.
 
     The price is the high type's candidate argmax: best_pooling_candidate in
     the symmetric baseline, _naive_candidate in the fully naive market
     (lam = 0) at any gamma and mu0.  Other variants raise
-    UnsupportedVariantError.  The equilibrium stands iff the low type weakly
-    prefers the price to the sure full-coverage deviation payoff v_B (see
-    the module docstring for why that is the only binding deviation).
+    UnsupportedVariantError.  A caller that already holds the baseline argmax
+    (the batched grid, from best_pooling_candidates) passes it as
+    `candidate`, which must equal best_pooling_candidate(params).  The
+    equilibrium stands iff the low type weakly prefers the price to the sure
+    full-coverage deviation payoff v_B (see the module docstring for why
+    that is the only binding deviation).
     """
-    if params.is_base_variant:
+    if candidate is not None:
+        cand = candidate
+    elif params.is_base_variant:
         cand = best_pooling_candidate(params)
     elif params.lam == 0.0:
         cand = _naive_candidate(params)
@@ -725,14 +769,16 @@ def compare_markets(
     )
 
 
-def classify_equilibrium(params: ModelParams) -> tuple[str, EquilibriumOutcome]:
+def classify_equilibrium(
+    params: ModelParams, candidate: Optional[PoolingCandidate] = None
+) -> tuple[str, EquilibriumOutcome]:
     """Region label for sweeps: R1..R4, 'mixed', or 'none'.
 
-    Every variant routes through solve_pooling; where pooling fails in the
-    baseline's fully naive market (lam = 0), the solve_mixed equilibrium is
-    reported if it exists.
+    Every variant routes through solve_pooling, which is passed `candidate`;
+    where pooling fails in the baseline's fully naive market (lam = 0), the
+    solve_mixed equilibrium is reported if it exists.
     """
-    outcome = solve_pooling(params)
+    outcome = solve_pooling(params, candidate)
     if outcome.kind == KIND_NONE and params.lam == 0.0 and params.is_base_variant:
         mixed = solve_mixed(params)
         if mixed.kind == KIND_MIXED:

@@ -1,0 +1,41 @@
+"""Reference grid rows: one scalar classify call per point, in product order.
+
+These are the bodies `splab.cli._solve_rows` and `splab.cli._region_rows`
+had before the grid was walked in chunks whose baseline candidates come from
+one numpy pass.  Every point builds its ModelParams and calls
+`classify_equilibrium(params)`, which takes the candidate argmax itself.
+They live in the tests only, where the chunked rows must equal them bit for
+bit and fail with the same exception at the same point.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from splab.cli import AXIS_ORDER
+from splab.equilibrium import classify_equilibrium
+from splab.model import ModelParams
+
+
+def _points(axes: dict[str, list[float]]):
+    for values in itertools.product(*(axes[a] for a in AXIS_ORDER)):
+        yield values, ModelParams(*values)
+
+
+def solve_rows(axes: dict[str, list[float]]) -> list[tuple]:
+    rows = []
+    for values, params in _points(axes):
+        _, out = classify_equilibrium(params)
+        rows.append((
+            *values, out.kind, out.price, out.low_price, out.alpha,
+            out.profit_G, out.profit_B, out.region, out.candidate_level,
+        ))
+    return rows
+
+
+def region_rows(axes: dict[str, list[float]]) -> list[tuple]:
+    rows = []
+    for values, params in _points(axes):
+        label, out = classify_equilibrium(params)
+        rows.append((*values, label, out.price, out.profit_G, out.profit_B))
+    return rows

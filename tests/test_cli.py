@@ -232,6 +232,28 @@ class TestConfigAndErrors:
         code, _ = run(capsys, "sweep", "--h", "0.5:1:1", "--vb", "0.1")
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("position", ["min", "max", "scalar"])
+    def test_non_finite_axis_values_rejected(self, bad, position):
+        # Refused before np.linspace sees them: no numpy warning, one line.
+        text = {"min": f"{bad}:1:3", "max": f"0.5:{bad}:3", "scalar": bad}[position]
+        proc = subprocess.run(
+            [sys.executable, "-m", "splab.cli", "regions", f"--h={text}"],
+            capture_output=True, text=True, env=_src_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"splab: error: --h values must be finite, got {text!r}\n"
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400])
+    def test_non_finite_config_value_rejected(self, tmp_path, capsys, value):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"h": 0.7, "v_B": value}), encoding="utf-8")
+        assert main(["regions", "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("splab: error: --vb values must be finite") and err.count("\n") == 1
+
     def test_unwritable_out_exit_two(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.csv"
         code = main(["solve", "--h", "0.7", "--out", str(target)])

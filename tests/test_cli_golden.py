@@ -15,7 +15,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,36 @@ def _output(argv: list[str], fmt: str) -> str:
 def test_output_matches_golden(case, fmt):
     golden = (GOLDEN_DIR / f"{case}.{fmt}").read_text(encoding="utf-8")
     assert _output(CASES[case], fmt) == golden
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stats_leave_stdout_alone_and_tally_the_labels(case, capsys):
+    assert main(CASES[case]) == 0
+    plain = capsys.readouterr()
+    assert main([*CASES[case], "--stats"]) == 0
+    with_stats = capsys.readouterr()
+    assert with_stats.out == plain.out
+    assert plain.err == ""
+    line, = with_stats.err.splitlines()
+    stats = json.loads(line)
+    rows = list(csv.DictReader(io.StringIO(plain.out)))
+    if "classification" in rows[0]:
+        labels = [row["classification"] for row in rows]
+    elif "region" in rows[0]:
+        labels = [row["region"] or row["kind"] for row in rows]
+    else:
+        labels = []
+    assert stats["kinds"] == dict(sorted(Counter(labels).items()))
+    assert stats["command"] == CASES[case][0]
+    assert stats["points"] == len(rows) == stats["batched"] + stats["scalar"]
+    assert all(stats[f"{stage}_s"] >= 0.0 for stage in ("parse", "solve", "write"))
+
+
+def test_stats_count_batched_and_scalar_points(capsys):
+    # Nine (gamma, mu0) pairs per (h, v_B), one of them the baseline.
+    assert main([*CASES["sweep_naive_extensions"], "--stats"]) == 0
+    stats = json.loads(capsys.readouterr().err)
+    assert (stats["batched"], stats["scalar"]) == (18, 144)
 
 
 def test_cells_are_plain_python_values(monkeypatch):

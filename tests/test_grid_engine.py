@@ -1,0 +1,231 @@
+"""The chunked grid engine against the scalar path, bit for bit and byte for byte.
+
+`splab.cli._grid` walks a grid in chunks of at most GRID_CHUNK points and
+takes each chunk's baseline argmax in one numpy pass
+(`best_pooling_candidates`).  These tests hold that pass to the scalar
+`best_pooling_candidate` over the whole parameter box, hold the rows to the
+per-point bodies in `reference_grid.py`, hold the CLI bytes to digests
+recorded before the change, and bound the memory the chunks take.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import tracemalloc
+import warnings
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import reference_grid as reference
+import splab.cli as cli
+import splab.equilibrium as equilibrium
+from splab import ModelParams, UnsupportedVariantError, best_pooling_candidate
+from splab.equilibrium import best_pooling_candidates
+from splab.model import ParameterError
+
+DIGESTS = Path(__file__).resolve().parent / "data" / "grid_digests.json"
+
+#: The whole box with its edges: h at 1/2 and 1 and one ulp inside each,
+#: lam at +-0, the smallest subnormal and 1, v_B at 0 and one ulp below 1.
+box_hs = st.one_of(
+    st.sampled_from([0.5, 0.5 + 2**-53, 1.0 - 2**-53, 1.0]),
+    st.floats(min_value=0.5, max_value=1.0),
+)
+box_lams = st.one_of(
+    st.sampled_from([0.0, -0.0, 2**-1074, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+)
+box_vbs = st.one_of(
+    st.sampled_from([0.0, 0.22, 1.0 - 2**-53]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+
+#: tracemalloc peak of `_region_rows` on the 201 x 201 region-map grid
+#: (v_B = 0.22) before the chunked engine, in bytes (Python 3.11.7, numpy 2.4).
+SCALAR_PEAK_201 = 9_163_401
+
+
+def _axes(*argv: str) -> dict[str, list[float]]:
+    return cli._resolve_axes(cli.build_parser().parse_args(["sweep", *argv]), {})
+
+
+class TestBatchedCandidates:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(box_hs, box_lams, box_vbs), min_size=1, max_size=40))
+    @example([(0.5, 0.3, 0.1), (1.0, -0.0, 0.0), (1.0 - 2**-53, 2**-1074, 1.0 - 2**-53)])
+    def test_equals_scalar_argmax_field_by_field(self, points):
+        h, lam, v_B = (np.array(column) for column in zip(*points))
+        fields = [array.tolist() for array in best_pooling_candidates(h, lam, v_B)]
+        for k, point in enumerate(points):
+            want = best_pooling_candidate(ModelParams(*point))
+            got = tuple(field[k] for field in fields)
+            # repr tells -0.0 from 0.0 and an int level from a float.
+            assert repr(got) == repr(tuple(want)), point
+
+    @pytest.mark.parametrize("cov_G", [(0.0,) * 5, (1.0, 0.9, 0.5, 0.2, 0.1)])
+    @pytest.mark.parametrize("v_B", [0.1, 0.4, 1.5])
+    def test_v_B_candidate_on_crafted_ladders(self, monkeypatch, cov_G, v_B):
+        # In the box v_B never wins (its covering rung earns at least as
+        # much), so crafted ladders reach its coverage lookup: v_B wins the
+        # all-zero tie by its lower price, and above the top rung it sells
+        # to no one.
+        wtps, cov_B = (0.2, 0.4, 0.6, 0.8, 1.0), (1.0, 0.8, 0.6, 0.4, 0.2)
+        monkeypatch.setattr(equilibrium, "ladder", lambda params: (wtps, cov_G, cov_B))
+        monkeypatch.setattr(
+            equilibrium, "ladder_fields",
+            lambda h, lam, v: tuple(tuple(np.full(h.shape, x) for x in t) for t in (wtps, cov_G, cov_B)),
+        )
+        params = ModelParams(0.7, 0.3, 0.1)
+        object.__setattr__(params, "v_B", v_B)
+        want = best_pooling_candidate(params)
+        got = [array.tolist()[0] for array in best_pooling_candidates(np.array([0.7]), 0.3, v_B)]
+        assert repr(tuple(got)) == repr(tuple(want))
+
+    def test_scalar_fields_broadcast(self):
+        price, level, profit_G, profit_B = best_pooling_candidates(
+            np.array([0.5, 0.7, 1.0]), 0.3, 0.1
+        )
+        assert price.shape == level.shape == profit_G.shape == profit_B.shape == (3,)
+
+
+#: Grids of each kind the engine meets: the chunk boundary inside the
+#: baseline grid, chunks that mix batched and scalar points, and the mixed
+#: band, where pooling fails and solve_mixed answers.
+ROW_GRIDS = {
+    "baseline": ("--h", "0.5:1:41", "--lambda", "0:1:41", "--vb", "0:0.6:4"),
+    "naive_off_baseline": (
+        "--h", "0.5:1:21", "--lambda", "0", "--vb", "0.1:0.3:3",
+        "--gamma", "0.3:0.7:5", "--mu0", "0.4:0.6:3",
+    ),
+    "mixed_band": ("--h", "0.5:1:101", "--lambda", "0", "--vb", "0.2:0.25:11"),
+}
+#: Grids that fail part way, in the second chunk: lam > 0 off the baseline,
+#: and h far outside [0.5, 1], where the batched ladder divides by zero.
+FAILING_GRIDS = {
+    "sophisticated_off_baseline": (
+        UnsupportedVariantError,
+        ("--h", "0.5:1:3", "--lambda", "0:1:2", "--vb", "0:0.5:2100", "--gamma", "0.3:0.5:2"),
+    ),
+    "h_out_of_range": (
+        ParameterError, ("--h", "0.5:1e308:3", "--lambda", "0:1:2", "--vb", "0:0.5:2100"),
+    ),
+}
+BUILDERS = (
+    (cli._region_rows, reference.region_rows),
+    (cli._solve_rows, reference.solve_rows),
+)
+
+
+class TestGridRows:
+    @pytest.mark.parametrize("grid", sorted(ROW_GRIDS))
+    @pytest.mark.parametrize("rows, reference_rows", BUILDERS)
+    def test_rows_equal_per_point_reference(self, grid, rows, reference_rows):
+        axes = _axes(*ROW_GRIDS[grid])
+        counts = Counter()
+        got = rows(axes, counts)
+        assert repr(got) == repr(reference_rows(axes))
+        assert counts["batched"] == sum(row[3] == row[4] == 0.5 for row in got)
+
+    def test_grids_reach_every_path(self):
+        labels = {
+            row[5] for grid in ROW_GRIDS.values() for row in cli._region_rows(_axes(*grid), Counter())
+        }
+        assert labels == {"R1", "R2", "R3", "R4", "mixed", "none"}
+        baseline = _axes(*ROW_GRIDS["baseline"])
+        assert math.prod(map(len, baseline.values())) > cli.GRID_CHUNK
+
+    @pytest.mark.parametrize("grid", sorted(FAILING_GRIDS))
+    @pytest.mark.parametrize("rows, reference_rows", BUILDERS)
+    def test_same_error_at_same_point(self, monkeypatch, grid, rows, reference_rows):
+        error, argv = FAILING_GRIDS[grid]
+        axes = _axes(*argv)
+        seen = {}
+
+        def counted(name, classify):
+            def wrapper(*args):
+                seen[name] = seen.get(name, 0) + 1
+                return classify(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli, "classify_equilibrium", counted("engine", cli.classify_equilibrium))
+        monkeypatch.setattr(
+            reference, "classify_equilibrium", counted("reference", reference.classify_equilibrium)
+        )
+        with warnings.catch_warnings():
+            # Out-of-box values must not leak numpy float warnings.
+            warnings.simplefilter("error")
+            with pytest.raises(error) as want:
+                reference_rows(axes)
+            with pytest.raises(error) as got:
+                rows(axes, Counter())
+        assert str(got.value) == str(want.value)
+        assert seen["engine"] == seen["reference"] > cli.GRID_CHUNK
+
+
+def _stdout(argv: list[str]) -> bytes:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert cli.main(argv) == 0
+    return buffer.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "call", json.loads(DIGESTS.read_text(encoding="utf-8"))["calls"],
+    ids=lambda call: " ".join(call["argv"]),
+)
+def test_output_matches_recorded_digest(call):
+    data = _stdout(call["argv"])
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (call["bytes"], call["sha256"])
+
+
+class TestMemory:
+    def test_region_rows_peak_near_scalar_path(self):
+        axes = _axes("--h", "0.5:1:201", "--lambda", "0:1:201", "--vb", "0.22")
+        cli._region_rows(axes, Counter())  # fill the caches outside the measurement
+        tracemalloc.start()
+        try:
+            rows = cli._region_rows(axes, Counter())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 201 * 201
+        assert peak <= SCALAR_PEAK_201 + 2**20
+
+    def test_no_array_outgrows_a_chunk(self, monkeypatch):
+        axes = _axes("--h", "0.5:1:501", "--lambda", "0:1:501", "--vb", "0.22")
+        batched = cli.best_pooling_candidates
+        largest, sizes = [], []
+
+        def measured(*arrays):
+            out = batched(*arrays)
+            sizes.append(max(array.size for array in (*arrays, *out)))
+            if len(sizes) % 20 == 1:
+                # Every numpy buffer alive now: the chunk's index and value
+                # arrays, the inputs and the outputs.
+                largest.append(max(
+                    trace.size for trace in tracemalloc.take_snapshot().traces
+                    if trace.domain == np.lib.tracemalloc_domain
+                ))
+            return out
+
+        monkeypatch.setattr(cli, "best_pooling_candidates", measured)
+        # Only the arrays matter here; skipping the per-point ModelParams
+        # keeps the traced walk of 251 001 points short.
+        monkeypatch.setattr(cli, "ModelParams", lambda *values: None)
+        counts = Counter()
+        tracemalloc.start()
+        try:
+            points = sum(1 for _ in cli._grid(axes, counts))
+        finally:
+            tracemalloc.stop()
+        assert points == counts["batched"] == 501 * 501
+        assert len(sizes) == math.ceil(501 * 501 / cli.GRID_CHUNK) == 62
+        assert max(sizes) == cli.GRID_CHUNK and len(largest) == 4
+        assert max(largest) <= cli.GRID_CHUNK * np.dtype(np.float64).itemsize
