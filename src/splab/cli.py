@@ -41,7 +41,7 @@ import time
 from collections import Counter
 from dataclasses import astuple, fields
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -157,9 +157,10 @@ class _ColumnCells(dict):
 def parse_axis(raw, name: str) -> tuple[float, float, int]:
     """A scalar or a 'min:max:steps' range, as (min, max, steps).
 
-    `name` is the flag, without its dashes.  A scalar v is (v, v, 1), and
-    every value must be finite.  Nothing is allocated here, so the grid size
-    can be bounded, and bad values refused, before any axis is built.
+    `name` is the flag, without its dashes.  A scalar v is (v, v, 1).  Every
+    value, and a range's width max - min, must be finite.  Nothing is
+    allocated here, so the grid size can be bounded, and bad values refused,
+    before any axis is built.
     """
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         try:
@@ -188,6 +189,8 @@ def parse_axis(raw, name: str) -> tuple[float, float, int]:
         raise UsageError(f"--{name}: swept axis needs steps >= 2, got {steps}")
     if not lo < hi:
         raise UsageError(f"--{name}: range needs min < max, got {text!r}")
+    if not math.isfinite(hi - lo):
+        raise UsageError(f"--{name}: range width max - min must be finite, got {text!r}")
     return lo, hi, steps
 
 
@@ -236,73 +239,59 @@ def _resolve_axes(args, config: dict) -> dict[str, list[float]]:
     }
 
 
-def _grid(
-    axes: dict[str, list[float]], counts: Counter
-) -> Iterator[tuple[tuple[float, ...], ModelParams, Optional[PoolingCandidate]]]:
-    """Each grid point's axis values, in AXIS_ORDER, its ModelParams and,
-    at a baseline point (gamma = mu0 = 0.5), its pooling candidate.
+def _grid_rows(axes: dict[str, list[float]], counts: Counter, row) -> list[tuple]:
+    """`row(values, label, outcome)` at each grid point, in product order.
 
-    The points go in chunks of at most GRID_CHUNK.  One numpy pass takes the
-    argmax at a chunk's baseline points (best_pooling_candidates), and its
-    arrays are turned into lists before the chunk's first point is yielded;
-    the other points get None, and the solver takes its scalar path there.
-    `counts["batched"]` adds up the points that got a candidate.  ModelParams
-    is built as each point is yielded, so a bad value raises at the same
-    point as on the scalar path.
+    `values` are the point's axis values in AXIS_ORDER, and `label, outcome`
+    is its `classify_equilibrium`.  The points go in chunks of at most
+    GRID_CHUNK.  One numpy pass takes the argmax at a chunk's baseline points
+    (gamma = mu0 = 0.5; best_pooling_candidates, on empty arrays when there
+    are none), and its arrays become lists before the chunk's first point is
+    solved; the other points get no candidate, and the solver takes its
+    scalar path there.  `counts["batched"]` adds up the points that got one.
+    The values come from one product over the axis lists, so the rows share
+    the axes' float objects rather than holding a new float per cell.
+    ModelParams is built per point, so a bad value raises at the same point
+    as on the scalar path.
     """
     columns = [np.array(axes[axis]) for axis in AXIS_ORDER]
-    # Point i of the product sits at i // strides[k] % len(columns[k]) on axis k.
-    strides = [math.prod(map(len, columns[k + 1:])) for k in range(len(columns))]
-    size = strides[0] * len(columns[0])
+    shape = tuple(map(len, columns))
+    size = math.prod(shape)
     points = itertools.product(*(axes[axis] for axis in AXIS_ORDER))
+    rows = []
     for start in range(0, size, GRID_CHUNK):
         chunk = min(GRID_CHUNK, size - start)
-        candidates = _chunk_candidates(columns, strides, start, chunk, counts)
-        for values, candidate in zip(itertools.islice(points, chunk), candidates):
-            yield values, ModelParams(*values), candidate
-
-
-def _chunk_candidates(
-    columns: list[np.ndarray], strides: list[int], start: int, chunk: int, counts: Counter
-) -> Iterator[Optional[PoolingCandidate]]:
-    """The candidate of each of the grid points start .. start + chunk - 1:
-    best_pooling_candidates at the baseline points, None elsewhere."""
-    flat = np.arange(start, start + chunk)
-    h, lam, v_B, gamma, mu0 = (
-        column[flat // stride % len(column)] for column, stride in zip(columns, strides)
-    )
-    base = (gamma == 0.5) & (mu0 == 0.5)
-    batched = int(np.count_nonzero(base))
-    counts["batched"] += batched
-    if not batched:
-        return itertools.repeat(None, chunk)
-    # A value outside the parameter box makes a candidate that is never used
-    # (ModelParams rejects the point first), so its float warnings are muted.
-    with np.errstate(all="ignore"):
-        arrays = best_pooling_candidates(h[base], lam[base], v_B[base])
-    found = map(PoolingCandidate, *(array.tolist() for array in arrays))
-    if batched == chunk:
-        return found
-    return (next(found) if is_base else None for is_base in base.tolist())
+        h, lam, v_B, gamma, mu0 = (
+            column[index] for column, index in
+            zip(columns, np.unravel_index(np.arange(start, start + chunk), shape))
+        )
+        base = (gamma == 0.5) & (mu0 == 0.5)
+        counts["batched"] += int(np.count_nonzero(base))
+        # A value outside the parameter box makes a candidate that is never
+        # used (ModelParams rejects the point first), so its float warnings
+        # are muted.
+        with np.errstate(all="ignore"):
+            arrays = best_pooling_candidates(h[base], lam[base], v_B[base])
+        found = map(PoolingCandidate, *(array.tolist() for array in arrays))
+        for values, is_base in zip(itertools.islice(points, chunk), base.tolist()):
+            label, outcome = classify_equilibrium(
+                ModelParams(*values), next(found) if is_base else None
+            )
+            rows.append(row(values, label, outcome))
+    return rows
 
 
 def _solve_rows(axes: dict[str, list[float]], counts: Counter) -> list[tuple]:
-    rows = []
-    for values, params, candidate in _grid(axes, counts):
-        _, out = classify_equilibrium(params, candidate)
-        rows.append((
-            *values, out.kind, out.price, out.low_price, out.alpha,
-            out.profit_G, out.profit_B, out.region, out.candidate_level,
-        ))
-    return rows
+    return _grid_rows(axes, counts, lambda values, _, out: (
+        *values, out.kind, out.price, out.low_price, out.alpha,
+        out.profit_G, out.profit_B, out.region, out.candidate_level,
+    ))
 
 
 def _region_rows(axes: dict[str, list[float]], counts: Counter) -> list[tuple]:
-    rows = []
-    for values, params, candidate in _grid(axes, counts):
-        label, out = classify_equilibrium(params, candidate)
-        rows.append((*values, label, out.price, out.profit_G, out.profit_B))
-    return rows
+    return _grid_rows(axes, counts, lambda values, label, out: (
+        *values, label, out.price, out.profit_G, out.profit_B,
+    ))
 
 
 def _compare_rows(axes: dict[str, list[float]]) -> list[tuple]:

@@ -296,14 +296,9 @@ def solve_mixed(params: ModelParams) -> EquilibriumOutcome:
 Quadratic = tuple[float, float, float]
 
 
-def _schedule(h: float, lam: float, v_B: float) -> tuple[tuple[float, ...], ...]:
-    """The flat ladder (wtps, coverage_G, coverage_B) at a baseline point."""
-    return ladder(ModelParams(h=h, lam=lam, v_B=v_B))
-
-
 def _level_profit_G(h: float, lam: float, v_B: float, level: int) -> float:
     """High-type profit from pricing at WTP level `level` (1..5), off the ladder."""
-    wtps, cov_G, _ = _schedule(h, lam, v_B)
+    wtps, cov_G, _ = ladder_fields(h, lam, v_B)
     return wtps[level - 1] * cov_G[level - 1]
 
 
@@ -319,10 +314,10 @@ def _profit_polys(v_B: float) -> tuple[tuple[Quadratic, Quadratic], ...]:
     Every WTP rung is linear in h and every coverage is linear in h and lam,
     so each level's profit is quadratic in h and linear in lam.  A and B
     interpolate the ladder itself at h in {0.5, 0.75, 1} and lam in {0, 1},
-    which keeps the arithmetic in `ladder`; A_k(0) and B_k(0) are
+    which keeps the arithmetic in `ladder_fields`; A_k(0) and B_k(0) are
     the ladder's own values at h = 0.5.
     """
-    rows = [[_schedule(0.5 + t, lam, v_B) for t in (0.0, 0.25, 0.5)] for lam in (0.0, 1.0)]
+    rows = [[ladder_fields(0.5 + t, lam, v_B) for t in (0.0, 0.25, 0.5)] for lam in (0.0, 1.0)]
     polys = []
     for k in range(5):
         at_0, at_1 = (

@@ -245,6 +245,20 @@ class TestConfigAndErrors:
         assert proc.stdout == ""
         assert proc.stderr == f"splab: error: --h values must be finite, got {text!r}\n"
 
+    def test_overflowing_axis_width_rejected(self):
+        # Both ends are finite but max - min is not: refused before
+        # np.linspace warns and produces a nan point.
+        text = "-1e308:1e308:3"
+        proc = subprocess.run(
+            [sys.executable, "-m", "splab.cli", "regions", "--h", "0.5", f"--lambda={text}",
+             "--vb", "0.1"],
+            capture_output=True, text=True, env=_src_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("splab: error: --lambda")
+        assert proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400])
     def test_non_finite_config_value_rejected(self, tmp_path, capsys, value):
         config = tmp_path / "c.json"

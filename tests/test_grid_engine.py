@@ -1,7 +1,7 @@
 """The chunked grid engine against the scalar path, bit for bit and byte for byte.
 
-`splab.cli._grid` walks a grid in chunks of at most GRID_CHUNK points and
-takes each chunk's baseline argmax in one numpy pass
+`splab.cli._grid_rows` walks a grid in chunks of at most GRID_CHUNK points
+and takes each chunk's baseline argmax in one numpy pass
 (`best_pooling_candidates`).  These tests hold that pass to the scalar
 `best_pooling_candidate` over the whole parameter box, hold the rows to the
 per-point bodies in `reference_grid.py`, hold the CLI bytes to digests
@@ -96,8 +96,9 @@ class TestBatchedCandidates:
 
 
 #: Grids of each kind the engine meets: the chunk boundary inside the
-#: baseline grid, chunks that mix batched and scalar points, and the mixed
-#: band, where pooling fails and solve_mixed answers.
+#: baseline grid, chunks that mix batched and scalar points, the mixed band,
+#: where pooling fails and solve_mixed answers, and chunks with no baseline
+#: point, whose candidate pass runs on empty arrays.
 ROW_GRIDS = {
     "baseline": ("--h", "0.5:1:41", "--lambda", "0:1:41", "--vb", "0:0.6:4"),
     "naive_off_baseline": (
@@ -105,6 +106,10 @@ ROW_GRIDS = {
         "--gamma", "0.3:0.7:5", "--mu0", "0.4:0.6:3",
     ),
     "mixed_band": ("--h", "0.5:1:101", "--lambda", "0", "--vb", "0.2:0.25:11"),
+    "no_baseline_point": (
+        "--h", "0.5:1:81", "--lambda", "0", "--vb", "0:0.3:4",
+        "--gamma", "0.3:0.7:4", "--mu0", "0.3:0.7:4",
+    ),
 }
 #: Grids that fail part way, in the second chunk: lam > 0 off the baseline,
 #: and h far outside [0.5, 1], where the batched ladder divides by zero.
@@ -129,8 +134,12 @@ class TestGridRows:
     def test_rows_equal_per_point_reference(self, grid, rows, reference_rows):
         axes = _axes(*ROW_GRIDS[grid])
         counts = Counter()
-        got = rows(axes, counts)
-        assert repr(got) == repr(reference_rows(axes))
+        got, want = rows(axes, counts), reference_rows(axes)
+        assert len(got) == len(want)
+        # The first row whose repr differs, not a diff of thousands of rows,
+        # which pytest takes minutes to print.
+        first = next((k for k, (a, b) in enumerate(zip(got, want)) if repr(a) != repr(b)), None)
+        assert first is None, (first, got[first], want[first])
         assert counts["batched"] == sum(row[3] == row[4] == 0.5 for row in got)
 
     def test_grids_reach_every_path(self):
@@ -140,6 +149,9 @@ class TestGridRows:
         assert labels == {"R1", "R2", "R3", "R4", "mixed", "none"}
         baseline = _axes(*ROW_GRIDS["baseline"])
         assert math.prod(map(len, baseline.values())) > cli.GRID_CHUNK
+        no_base = _axes(*ROW_GRIDS["no_baseline_point"])
+        assert math.prod(map(len, no_base.values())) > cli.GRID_CHUNK
+        assert 0.5 not in no_base["gamma"] and 0.5 not in no_base["mu0"]
 
     @pytest.mark.parametrize("grid", sorted(FAILING_GRIDS))
     @pytest.mark.parametrize("rows, reference_rows", BUILDERS)
@@ -216,16 +228,17 @@ class TestMemory:
             return out
 
         monkeypatch.setattr(cli, "best_pooling_candidates", measured)
-        # Only the arrays matter here; skipping the per-point ModelParams
-        # keeps the traced walk of 251 001 points short.
+        # Only the arrays matter here; skipping the per-point ModelParams and
+        # classify keeps the traced walk of 251 001 points short.
         monkeypatch.setattr(cli, "ModelParams", lambda *values: None)
+        monkeypatch.setattr(cli, "classify_equilibrium", lambda params, candidate: (None, None))
         counts = Counter()
         tracemalloc.start()
         try:
-            points = sum(1 for _ in cli._grid(axes, counts))
+            rows = cli._grid_rows(axes, counts, lambda values, label, outcome: None)
         finally:
             tracemalloc.stop()
-        assert points == counts["batched"] == 501 * 501
+        assert len(rows) == counts["batched"] == 501 * 501
         assert len(sizes) == math.ceil(501 * 501 / cli.GRID_CHUNK) == 62
         assert max(sizes) == cli.GRID_CHUNK and len(largest) == 4
         assert max(largest) <= cli.GRID_CHUNK * np.dtype(np.float64).itemsize
