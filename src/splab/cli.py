@@ -58,6 +58,7 @@ from .equilibrium import (
     thresholds,
 )
 from .model import (
+    BASE,
     ModelParams,
     ParameterError,
     Quality,
@@ -78,7 +79,7 @@ class UsageError(Exception):
 
 #: The grid axes, in ModelParams' field order.
 AXIS_ORDER = ("h", "lambda", "v_B", "gamma", "mu0")
-AXIS_DEFAULTS = {"lambda": 0.0, "v_B": 0.1, "gamma": 0.5, "mu0": 0.5}
+AXIS_DEFAULTS = {"lambda": 0.0, "v_B": 0.1, "gamma": BASE, "mu0": BASE}
 #: Each axis's flag (without dashes) and argparse dest, in AXIS_ORDER.
 AXIS_FLAGS = {
     "h": ("h", "h"), "lambda": ("lambda", "lam"), "v_B": ("vb", "vb"),
@@ -245,7 +246,7 @@ def _grid_rows(axes: dict[str, list[float]], counts: Counter, row) -> list[tuple
     `values` are the point's axis values in AXIS_ORDER, and `label, outcome`
     is its `classify_equilibrium`.  The points go in chunks of at most
     GRID_CHUNK.  One numpy pass takes the argmax at a chunk's baseline points
-    (gamma = mu0 = 0.5; best_pooling_candidates, on empty arrays when there
+    (gamma = mu0 = BASE; best_pooling_candidates, on empty arrays when there
     are none), and its arrays become lists before the chunk's first point is
     solved; the other points get no candidate, and the solver takes its
     scalar path there.  `counts["batched"]` adds up the points that got one.
@@ -265,7 +266,7 @@ def _grid_rows(axes: dict[str, list[float]], counts: Counter, row) -> list[tuple
             column[index] for column, index in
             zip(columns, np.unravel_index(np.arange(start, start + chunk), shape))
         )
-        base = (gamma == 0.5) & (mu0 == 0.5)
+        base = (gamma == BASE) & (mu0 == BASE)
         counts["batched"] += int(np.count_nonzero(base))
         # A value outside the parameter box makes a candidate that is never
         # used (ModelParams rejects the point first), so its float warnings
@@ -462,13 +463,13 @@ def _bisection_gaps(params: ModelParams) -> list[float]:
     lambda_hat2 = bisect_threshold(
         lambda x: _level_profit_G(1.0, x, v, 3) - _level_profit_G(1.0, x, v, 4), (0.0, 1.0)
     )
+    # h_underline and h_overline: where the all-sophisticated market's
+    # level-3 profit meets the fully naive market's level-2 and level-4 ones.
     h_underline = bisect_threshold(
-        lambda h: _level_profit_G(h, 0.0, v, 2) - (1.0 + h) * (1.0 + v) / 4.0, (0.5, 1.0)
+        lambda h: _level_profit_G(h, 0.0, v, 2) - _level_profit_G(h, 1.0, v, 3), (0.5, 1.0)
     )
     h_overline = bisect_threshold(
-        lambda h: 4.0 * (1.0 + h) * (1.0 + v)
-        - (1.0 + 2.0 * h) * (1.0 + 2.0 * h + v * (3.0 - 2.0 * h)),
-        (0.5, 1.0),
+        lambda h: _level_profit_G(h, 1.0, v, 3) - _level_profit_G(h, 0.0, v, 4), (0.5, 1.0)
     )
     for got, want in (
         (ts.lambda_hat2, lambda_hat2),
@@ -648,6 +649,8 @@ def _run_command(args, started: float) -> int:
             args.format = config_format
     if args.out is None:
         args.out = config.get("out")
+    if args.out == "":
+        raise UsageError("--out must name a file, got an empty name")
     axes = _resolve_axes(args, config)
     parsed = time.perf_counter()
     counts: Counter = Counter()

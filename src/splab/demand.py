@@ -27,15 +27,16 @@ bit.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .model import (
+    BASE,
     L,
     V_G,
     ModelParams,
     ParameterError,
     Quality,
+    Record,
     UnsupportedVariantError,
 )
 
@@ -50,7 +51,7 @@ CONSUMER_LABELS: tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
-class WtpLevel:
+class WtpLevel(Record):
     """One rung of the willingness-to-pay ladder."""
 
     level: int  # 1..5, ascending WTP
@@ -59,12 +60,9 @@ class WtpLevel:
     mass_B: float  # population share at this WTP when quality is B
     consumer_label: str
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
-class WtpSchedule:
+class WtpSchedule(Record):
     """The five-level WTP ladder plus precomputed upper-tail masses.
 
     coverage_G[k] (0-indexed) is the total Q=G mass at level k+1 and above,
@@ -84,9 +82,6 @@ class WtpSchedule:
             "levels": [lvl.to_dict() for lvl in self.levels],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def ladder(params: ModelParams) -> tuple[tuple[float, ...], ...]:
     """(wtps, coverage_G, coverage_B): the five rungs as flat float tuples.
@@ -100,10 +95,6 @@ def ladder(params: ModelParams) -> tuple[tuple[float, ...], ...]:
             f"mu0={params.mu0}"
         )
     return ladder_fields(params.h, params.lam, params.v_B)
-
-
-#: gamma and mu0 of the symmetric baseline, the only variant with a ladder.
-BASE = 0.5
 
 
 def ladder_fields(h, lam, v_B) -> tuple[tuple, ...]:

@@ -34,9 +34,8 @@ against bisection on the ladder itself.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -47,6 +46,7 @@ from .demand import build_wtp_schedule, expected_demand, ladder, ladder_fields  
 from .model import (
     ModelParams,
     ParameterError,
+    Record,
     UnsupportedVariantError,
     Valence,
     posterior_naive,
@@ -61,7 +61,7 @@ KIND_NONE = "none"
 
 
 @dataclass(frozen=True)
-class EquilibriumOutcome:
+class EquilibriumOutcome(Record):
     """Solver result.  kind is one of pooling / mixed / none.
 
     For pooling: price, profits, region R1..R4 and the WTP level the price
@@ -78,12 +78,6 @@ class EquilibriumOutcome:
     region: Optional[str] = None
     candidate_level: Optional[int] = None
     note: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 class PoolingCandidate(NamedTuple):
@@ -529,7 +523,7 @@ def _lambda_bar(h: float, v_B: float, consts: _StructureConstants) -> Optional[f
 
 
 @dataclass(frozen=True)
-class ThresholdSet:
+class ThresholdSet(Record):
     """Comparative-statics switch points, evaluated at one parameter set.
 
     h_star, h_hat1..3 are evaluated at the given lambda; lambda_bar at the
@@ -550,12 +544,6 @@ class ThresholdSet:
     h_underline: Optional[float]
     h_overline: Optional[float]
     v_bar_prime: float = field(default=5.0 / 9.0)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 #: Existence boundary for v_B: where the worst-case low-type pooling profit
@@ -705,7 +693,7 @@ def prior_mu_lower(h: float, v_B: float) -> float:
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     """Profit comparison between a fully naive and a fully sophisticated
     market at identical (h, v_B)."""
 
@@ -714,9 +702,6 @@ class ComparisonReport:
     profit_gaps: dict  # quality -> naive profit minus sophisticated profit
     naive: EquilibriumOutcome
     sophisticated: EquilibriumOutcome
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def compare_markets(

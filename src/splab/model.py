@@ -22,8 +22,9 @@ floating-point path for each belief value.
 from __future__ import annotations
 
 import enum
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 
@@ -39,6 +40,18 @@ class UnsupportedVariantError(ValueError):
 L = 0.5
 #: Value of the good-quality product; v_B is measured against it.
 V_G = 1.0
+#: gamma and mu0 of the symmetric baseline, the only variant with a ladder.
+BASE = 0.5
+
+
+class Record:
+    """Base of the frozen result dataclasses: a dict and a JSON form."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 class Quality(enum.Enum):
@@ -101,8 +114,8 @@ class ModelParams:
     h: float
     lam: float
     v_B: float
-    gamma: float = 0.5
-    mu0: float = 0.5
+    gamma: float = BASE
+    mu0: float = BASE
 
     def __post_init__(self) -> None:
         h, lam, v_B, gamma, mu0 = self.h, self.lam, self.v_B, self.gamma, self.mu0
@@ -138,7 +151,7 @@ class ModelParams:
     @property
     def is_base_variant(self) -> bool:
         """True for the symmetric baseline gamma = 0.5, mu0 = 0.5."""
-        return self.gamma == 0.5 and self.mu0 == 0.5
+        return self.gamma == BASE and self.mu0 == BASE
 
     def to_dict(self) -> dict:
         return {

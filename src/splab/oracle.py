@@ -15,9 +15,8 @@ against it.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -30,6 +29,7 @@ from .model import (
     ModelParams,
     ParameterError,
     Quality,
+    Record,
     posterior_with_prior,
     signal_distribution,
     wtp_from_posterior,
@@ -180,7 +180,7 @@ def grid_argmax(
 
 
 @dataclass(frozen=True)
-class SimReport:
+class SimReport(Record):
     """Monte-Carlo demand estimate with its sampling uncertainty."""
 
     draws: int
@@ -189,12 +189,6 @@ class SimReport:
     se_demand: float
     est_profit: float
     se_profit: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 # Each run of _BATCH draws reads its own Philox stream, keyed by the seed and
@@ -279,7 +273,7 @@ def simulate_market(
 
 
 @dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(Record):
     """Witness that no separating equilibrium survives a profitable deviation.
 
     In a candidate separating profile the high type's price p_G reveals
@@ -298,12 +292,6 @@ class SeparationReport:
     honest_profit: float
     min_margin: float
     separation_possible: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def check_no_separation(params: ModelParams) -> SeparationReport:
@@ -336,12 +324,14 @@ def check_no_separation(params: ModelParams) -> SeparationReport:
     )
 
 
+#: Bracket width at which `bisect_threshold` stops.
+BISECT_TOL = 1e-10
+
+
 def bisect_threshold(
-    difference: Callable[[float], float],
-    bracket: Sequence[float],
-    tol: float = 1e-10,
+    difference: Callable[[float], float], bracket: Sequence[float]
 ) -> Optional[float]:
-    """Root of a monotone scalar function by bisection.
+    """Root of a monotone scalar function by bisection, to within BISECT_TOL.
 
     Returns None when the difference does not change sign over the bracket
     (the threshold is absent).  Raises ParameterError for a degenerate
@@ -366,7 +356,7 @@ def bisect_threshold(
         return b
     if (fa > 0.0) == (fb > 0.0):
         return None
-    while b - a > tol:
+    while b - a > BISECT_TOL:
         mid = 0.5 * (a + b)
         fmid = difference(mid)
         if fmid == 0.0:

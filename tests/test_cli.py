@@ -216,6 +216,25 @@ class TestConfigAndErrors:
         assert captured.out == ""
         assert captured.err.startswith("splab: error:")
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_rejected_before_solving(self, tmp_path, capsys, monkeypatch, source):
+        # An empty name would otherwise send the output to stdout.
+        def no_solving(*args):
+            raise AssertionError("solved a point")
+
+        monkeypatch.setattr(splab.cli, "classify_equilibrium", no_solving)
+        if source == "flag":
+            argv = ["solve", "--h", "0.7", "--out", ""]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"h": 0.7, "out": ""}))
+            argv = ["solve", "--config", str(cfg)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("splab: error:") and captured.err.count("\n") == 1
+
     def test_missing_h_rejected(self, capsys):
         code, _ = run(capsys, "solve", "--vb", "0.1")
         assert code == 2
@@ -316,6 +335,26 @@ class TestVerify:
 
         golden = VERIFY_GOLDEN.read_text(encoding="utf-8")
         assert monte_carlo(out) == monte_carlo(golden)
+
+    @pytest.mark.parametrize("name", ["h_underline", "h_overline", "lambda_hat2"])
+    def test_threshold_check_fails_on_a_moved_closed_form(self, capsys, monkeypatch, name):
+        real = splab.cli.thresholds
+
+        def moved(params):
+            ts = real(params)
+            value = getattr(ts, name)
+            return ts if value is None else dataclasses.replace(ts, **{name: value + 1e-6})
+
+        monkeypatch.setattr(splab.cli, "thresholds", moved)
+        code, out = run(capsys, "verify", "--seed", "0", "--draws", "20000")
+        assert code == 3
+        line, = [l for l in out.splitlines() if "threshold certificates" in l]
+        assert line.startswith("FAIL") and "closed form - bisection" in line
+
+        def monte_carlo(text):
+            return [l for l in text.splitlines() if "Monte-Carlo demand" in l]
+
+        assert monte_carlo(out) == monte_carlo(VERIFY_GOLDEN.read_text(encoding="utf-8"))
 
     @pytest.mark.parametrize(
         "flag,value",

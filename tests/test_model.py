@@ -1,5 +1,7 @@
 """Unit tests for the signal technology and posterior machinery."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,22 +9,36 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splab import (
+    ComparisonReport,
     ConsumerType,
+    EquilibriumOutcome,
     ModelParams,
     ParameterError,
     Precision,
     Quality,
     SIGNALS,
+    SeparationReport,
     Signal,
+    SimReport,
+    ThresholdSet,
     UnsupportedVariantError,
     Valence,
+    WtpLevel,
+    WtpSchedule,
+    build_wtp_schedule,
+    check_no_separation,
+    compare_markets,
     posterior_naive,
     posterior_sophisticated,
     posterior_with_prior,
     signal_distribution,
+    simulate_market,
+    solve_pooling,
+    thresholds,
     w_bar,
     wtp_from_posterior,
 )
+from splab.model import Record
 
 GH = Signal(Valence.GOOD, Precision.HIGH)
 BH = Signal(Valence.BAD, Precision.HIGH)
@@ -232,3 +248,41 @@ class TestValidation:
     def test_to_dict_uses_lambda_key(self):
         d = ModelParams(h=0.8, lam=0.25, v_B=0.1).to_dict()
         assert d["lambda"] == 0.25 and "lam" not in d
+
+
+class TestRecord:
+    """Every result dataclass takes `to_dict`/`to_json` from `Record`."""
+
+    def records(self):
+        params = ModelParams(h=0.7, lam=0.3, v_B=0.1)
+        schedule = build_wtp_schedule(params)
+        return [
+            solve_pooling(params),
+            thresholds(params),
+            compare_markets(
+                ModelParams(h=0.7, lam=0.0, v_B=0.1), ModelParams(h=0.7, lam=1.0, v_B=0.1)
+            ),
+            simulate_market(params, Quality.G, 0.6, draws=1000, seed=0),
+            check_no_separation(params),
+            schedule.levels[2],
+            schedule,
+        ]
+
+    def test_subclasses_are_the_seven_results(self):
+        # A new result class must join this list, and so these checks.
+        assert set(Record.__subclasses__()) == {
+            EquilibriumOutcome, ThresholdSet, ComparisonReport, SimReport,
+            SeparationReport, WtpLevel, WtpSchedule,
+        }
+        assert {type(x) for x in self.records()} == set(Record.__subclasses__())
+
+    def test_to_dict_is_asdict_except_the_schedule(self):
+        for x in self.records():
+            if isinstance(x, WtpSchedule):
+                assert list(x.to_dict()) == ["params", "levels"]
+            else:
+                assert x.to_dict() == dataclasses.asdict(x)
+
+    def test_to_json_dumps_to_dict(self):
+        for x in self.records():
+            assert x.to_json() == json.dumps(x.to_dict())

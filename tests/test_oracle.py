@@ -24,7 +24,7 @@ from splab import (
     simulate_market,
 )
 from splab import oracle
-from splab.oracle import consumer_cells
+from splab.oracle import BISECT_TOL, consumer_cells
 
 hs = st.floats(min_value=0.5, max_value=1.0, allow_nan=False)
 lams = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -273,16 +273,15 @@ class TestBisect:
         assert root == pytest.approx(0.37, abs=1e-9)
 
     def test_certificate_bound(self):
-        # |f(root)| <= 10 * tol * scale for monotone f.
-        tol = 1e-10
+        # |f(root)| <= 10 * BISECT_TOL * scale for monotone f.
         for f, bracket in [
             (lambda x: x - 0.37, (0.0, 1.0)),
             (lambda x: math.exp(x) - 2.0, (0.0, 1.0)),
             (lambda x: x**3 - 0.2, (0.0, 1.0)),
         ]:
-            root = bisect_threshold(f, bracket, tol=tol)
+            root = bisect_threshold(f, bracket)
             scale = max(1.0, abs(f(bracket[0])), abs(f(bracket[1])))
-            assert abs(f(root)) <= 10 * tol * scale
+            assert abs(f(root)) <= 10 * BISECT_TOL * scale
 
     def test_no_sign_change_returns_none(self):
         assert bisect_threshold(lambda x: x + 1.0, (0.0, 1.0)) is None
