@@ -66,7 +66,6 @@ from .model import (
 )
 from .oracle import (
     bisect_threshold,
-    check_no_separation,
     demand_by_enumeration,
     grid_argmax,
     simulate_market,
@@ -418,19 +417,6 @@ def _check_piecewise_identity(rng: np.random.Generator) -> tuple[bool, str]:
     return worst <= 1e-12, f"max |piecewise - p*enumerated demand| = {worst:.3g}"
 
 
-def _check_no_separation(rng: np.random.Generator) -> tuple[bool, str]:
-    # Draw every point before checking any, so that a failure leaves the
-    # shared stream where a passing run leaves it for the later checks.
-    points = [_random_base_params(rng) for _ in range(20)]
-    worst = float("inf")
-    for params in points:
-        report = check_no_separation(params)
-        if report.separation_possible:
-            return False, f"separation witness failed at {params.to_dict()}"
-        worst = min(worst, report.min_margin)
-    return True, f"min margin of the breaking deviations = {worst:.3g}"
-
-
 def _bisected_level_boundary(lam: float, v_B: float, max_level: int) -> float:
     """Where the ladder's argmax level leaves 1..max_level, by bisection on h.
 
@@ -502,8 +488,6 @@ def _check_threshold_certificates(rng: np.random.Generator) -> tuple[bool, str]:
     tie_gap(ts.h_hat1, params.lam, 1, 2, "h_hat1")
     tie_gap(ts.h_hat2, params.lam, 2, 3, "h_hat2")
     tie_gap(ts.h_hat3, params.lam, 3, 4, "h_hat3")
-    if ts.lambda_bar is not None and not 0.0 <= ts.lambda_bar <= 1.0:
-        failures.append(f"lambda_bar out of range: {ts.lambda_bar}")
     star_soph = thresholds(ModelParams(h=0.7, lam=1.0, v_B=params.v_B)).h_star
     star_naive = thresholds(ModelParams(h=0.7, lam=0.0, v_B=params.v_B)).h_star
     order = [0.5, star_soph, ts.h_underline, star_naive, ts.h_overline, 1.0]
@@ -552,19 +536,16 @@ def _run_verify(args) -> int:
         raise UsageError(f"--draws must be >= 1, got {draws}")
     if not 0 <= seed <= MAX_VERIFY_SEED:
         raise UsageError(f"--seed must lie in [0, 2**128 - 6], got {seed}")
-    rng = np.random.default_rng(seed)
-    # Its own stream, so the other checks draw the points they always drew.
-    thresholds_rng = np.random.default_rng([seed, 1])
     checks = [
-        ("oracle-vs-solver price agreement", lambda: _check_oracle_agreement(rng)),
-        ("piecewise profit identity", lambda: _check_piecewise_identity(rng)),
-        ("no-separation witnesses", lambda: _check_no_separation(rng)),
-        ("threshold certificates", lambda: _check_threshold_certificates(thresholds_rng)),
-        ("Monte-Carlo demand", lambda: _check_monte_carlo(rng, draws, seed)),
+        ("oracle-vs-solver price agreement", _check_oracle_agreement),
+        ("piecewise profit identity", _check_piecewise_identity),
+        ("threshold certificates", _check_threshold_certificates),
+        ("Monte-Carlo demand", lambda rng: _check_monte_carlo(rng, draws, seed)),
     ]
     all_ok = True
-    for name, runner in checks:
-        ok, detail = runner()
+    # Check k draws from its own stream, so no check moves another's points.
+    for k, (name, check) in enumerate(checks):
+        ok, detail = check(np.random.default_rng([seed, k]))
         all_ok = all_ok and ok
         print(f"{'PASS' if ok else 'FAIL'}: {name} ({detail})")
     print("verification " + ("passed" if all_ok else "FAILED"))

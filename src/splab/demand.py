@@ -37,7 +37,7 @@ from .model import (
     ParameterError,
     Quality,
     Record,
-    UnsupportedVariantError,
+    _require_base,
 )
 
 #: Population segment behind each WTP level, lowest to highest.
@@ -88,12 +88,7 @@ def ladder(params: ModelParams) -> tuple[tuple[float, ...], ...]:
 
     Raises UnsupportedVariantError unless gamma = 0.5 and mu0 = 0.5.
     """
-    if not params.is_base_variant:
-        raise UnsupportedVariantError(
-            "the five-level WTP schedule exists only for the symmetric "
-            f"baseline (gamma=0.5, mu0=0.5); got gamma={params.gamma}, "
-            f"mu0={params.mu0}"
-        )
+    _require_base(params, "the five-level WTP ladder")
     return ladder_fields(params.h, params.lam, params.v_B)
 
 

@@ -52,6 +52,7 @@ from .model import (
     posterior_naive,
     w_bar,
     wtp_from_posterior,
+    _require_base,
 )
 from .oracle import bisect_threshold
 
@@ -87,14 +88,6 @@ class PoolingCandidate(NamedTuple):
     level: Optional[int]  # WTP level 1..5, or None if the price is v_B itself
     profit_G: float
     profit_B: float
-
-
-def _require_base(params: ModelParams, op: str) -> None:
-    if not params.is_base_variant:
-        raise UnsupportedVariantError(
-            f"{op} covers the symmetric baseline only (gamma=0.5, mu0=0.5); "
-            f"got gamma={params.gamma}, mu0={params.mu0}"
-        )
 
 
 def best_pooling_candidate(params: ModelParams) -> PoolingCandidate:
@@ -510,11 +503,7 @@ def _lambda_bar(h: float, v_B: float, consts: _StructureConstants) -> Optional[f
     """
     if h <= 0.5:
         return 0.0
-    for knee, pair in (
-        (consts.h_knee1, (1, 2)),
-        (consts.h_knee2, (2, 3)),
-        (1.0, (3, 4)),
-    ):
+    for knee, pair in ((consts.h_knee1, (1, 2)), (consts.h_knee2, (2, 3))):
         if knee is not None and h <= knee:
             root = _tie_lambda(h, v_B, *pair)
             if root is not None:

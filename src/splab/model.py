@@ -163,6 +163,15 @@ class ModelParams:
         }
 
 
+def _require_base(params: ModelParams, op: str) -> None:
+    """Raise UnsupportedVariantError unless `params` is the baseline."""
+    if not params.is_base_variant:
+        raise UnsupportedVariantError(
+            f"{op} covers the symmetric baseline only (gamma=0.5, mu0=0.5); "
+            f"got gamma={params.gamma}, mu0={params.mu0}"
+        )
+
+
 def w_bar(params: ModelParams) -> float:
     """Average signal precision, gamma*h + (1-gamma)*L.
 

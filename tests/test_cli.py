@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +30,41 @@ def _src_env() -> dict:
     src = Path(__file__).resolve().parents[1] / "src"
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")])}
+
+
+def _moved(thresholds, name="h_underline"):
+    """`thresholds` with one closed-form field raised by 1e-6."""
+    def moved(params):
+        ts = thresholds(params)
+        value = getattr(ts, name)
+        return ts if value is None else dataclasses.replace(ts, **{name: value + 1e-6})
+    return moved
+
+
+def _nudged(grid_argmax):
+    """`grid_argmax` with its price one ulp up."""
+    def nudged(*args):
+        price, profit = grid_argmax(*args)
+        return math.nextafter(price, math.inf), profit
+    return nudged
+
+
+def _biased(simulate_market):
+    """`simulate_market` with its demand estimate 0.05 too high."""
+    def biased(*args, **kwargs):
+        report = simulate_market(*args, **kwargs)
+        return dataclasses.replace(report, est_demand=report.est_demand + 0.05)
+    return biased
+
+
+#: Each `verify` check, the `splab.cli` name of the one input it compares,
+#: and a wrapper that perturbs that input just enough to fail the check.
+VERIFY_PERTURBATIONS = {
+    "oracle-vs-solver price agreement": ("grid_argmax", _nudged),
+    "piecewise profit identity": ("expected_demand", lambda real: lambda *a: real(*a) + 1e-9),
+    "threshold certificates": ("thresholds", _moved),
+    "Monte-Carlo demand": ("simulate_market", _biased),
+}
 
 
 class TestSolve:
@@ -311,7 +347,7 @@ class TestVerify:
         code, out = run(capsys, "verify", "--seed", "0", "--draws", "20000")
         assert code == 0
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert len(lines) == 5
+        assert len(lines) == 4
         assert all(l.startswith("PASS") for l in lines)
 
     def test_output_matches_golden(self, capsys):
@@ -319,42 +355,30 @@ class TestVerify:
         assert code == 0
         assert out == VERIFY_GOLDEN.read_text(encoding="utf-8")
 
-    def test_failing_check_leaves_later_checks_their_points(self, capsys, monkeypatch):
-        real = splab.cli.check_no_separation
-
-        def failing(params):
-            return dataclasses.replace(real(params), separation_possible=True)
-
-        monkeypatch.setattr(splab.cli, "check_no_separation", failing)
+    @pytest.mark.parametrize("check", VERIFY_PERTURBATIONS, ids=lambda check: check.split()[0])
+    def test_each_check_can_fail_alone(self, capsys, monkeypatch, check):
+        name, perturb = VERIFY_PERTURBATIONS[check]
+        monkeypatch.setattr(splab.cli, name, perturb(getattr(splab.cli, name)))
         code, out = run(capsys, "verify", "--seed", "0", "--draws", "20000")
         assert code == 3
-        assert "FAIL: no-separation witnesses" in out
 
-        def monte_carlo(text):
-            return [l for l in text.splitlines() if "Monte-Carlo demand" in l]
+        def lines(text, mine):
+            return [l for l in text.splitlines()
+                    if l.startswith(("PASS", "FAIL")) and (f": {check} (" in l) == mine]
 
         golden = VERIFY_GOLDEN.read_text(encoding="utf-8")
-        assert monte_carlo(out) == monte_carlo(golden)
+        failed, = lines(out, True)
+        assert failed.startswith("FAIL")
+        assert lines(out, False) == lines(golden, False)
+        assert len(lines(golden, False)) == 3
 
     @pytest.mark.parametrize("name", ["h_underline", "h_overline", "lambda_hat2"])
     def test_threshold_check_fails_on_a_moved_closed_form(self, capsys, monkeypatch, name):
-        real = splab.cli.thresholds
-
-        def moved(params):
-            ts = real(params)
-            value = getattr(ts, name)
-            return ts if value is None else dataclasses.replace(ts, **{name: value + 1e-6})
-
-        monkeypatch.setattr(splab.cli, "thresholds", moved)
+        monkeypatch.setattr(splab.cli, "thresholds", _moved(splab.cli.thresholds, name))
         code, out = run(capsys, "verify", "--seed", "0", "--draws", "20000")
         assert code == 3
         line, = [l for l in out.splitlines() if "threshold certificates" in l]
         assert line.startswith("FAIL") and "closed form - bisection" in line
-
-        def monte_carlo(text):
-            return [l for l in text.splitlines() if "Monte-Carlo demand" in l]
-
-        assert monte_carlo(out) == monte_carlo(VERIFY_GOLDEN.read_text(encoding="utf-8"))
 
     @pytest.mark.parametrize(
         "flag,value",
