@@ -51,9 +51,9 @@ from .equilibrium import (
     ThresholdSet,
     _argmax_level,
     _level_profit_G,
-    best_pooling_candidates,
     classify_equilibrium,
     compare_markets,
+    pooling_candidates,
     solve_pooling,
     thresholds,
 )
@@ -94,11 +94,9 @@ MAX_GRID_POINTS = 10**6
 #: Largest `verify --seed`: the Monte-Carlo check seeds its runs with
 #: seed + 0..5, and a Philox key must stay below 2**128.
 MAX_VERIFY_SEED = 2**128 - 6
-#: Most distinct values one output column formats once and keeps: enough for
-#: a 1001-step axis and the prices of a 501 x 501 map.
-CELL_CACHE_SIZE = 4096
-#: Most grid points whose candidate argmax one numpy pass computes, so the
-#: pass holds a few hundred kB of arrays whatever the grid's size.
+#: Most grid points whose candidate argmax one numpy pass computes, and most
+#: rows the writer formats at once, so neither holds more than a few hundred
+#: kB whatever the grid's size.
 GRID_CHUNK = 4096
 
 SOLVE_COLUMNS = (
@@ -113,45 +111,63 @@ COMPARE_COLUMNS = (
 THRESHOLD_COLUMNS = ("h", "lambda", "v_B", *(f.name for f in fields(ThresholdSet)))
 
 
-def _json_number(value) -> str:
-    """An int or float cell as `json.dumps` prints it, a float rounded first
-    to the 12 significant digits the CSV prints."""
-    if isinstance(value, int):
-        return int.__repr__(value)
-    rounded = float("%.12g" % value)
-    # json.dumps prints the non-finite floats as NaN, Infinity, -Infinity.
-    return float.__repr__(rounded) if math.isfinite(rounded) else json.dumps(rounded)
+def _texts(values: list, as_json: bool) -> list:
+    """The cell texts of values that are all str, all int or all float.
 
-
-class _ColumnCells(dict):
-    """One output column's cell texts, keyed by cell value.
-
-    A cell is None, a str, an int or a float.  CSV prints a number with 12
-    significant digits, None as '' and a str as itself; JSON prints them as
-    `json.dumps` does, after the same rounding.  An axis, price or label
-    column holds few distinct values, so each is formatted once, on its
-    first lookup.  Whole numbers are never kept (0.0 == -0.0 and 1 == 1.0
-    hash alike, but print apart), and nothing more once CELL_CACHE_SIZE
-    values are, so a profit column, whose values are all distinct, costs one
-    format per cell.
+    CSV prints a number with 12 significant digits and a str as itself;
+    JSON prints them as `json.dumps` does, a float after rounding to those
+    12 digits.  Each kind is one C-level map over the list.
     """
+    first = values[0]
+    if isinstance(first, str):
+        return list(map(encode_basestring_ascii, values)) if as_json else values
+    if as_json and isinstance(first, int):
+        return list(map(int.__repr__, values))
+    texts = list(map("%.12g".__mod__, values))
+    if not as_json:
+        return texts
+    # A positional text with a point is already the repr of the float it
+    # parses to: 12 digits tell apart floats of magnitude 1e-4 and up, so no
+    # shorter text parses to the same float.  Whole numbers, exponent forms
+    # and the non-finite floats are parsed and printed again.
+    return [text if "." in text and "e" not in text else _json_float(text) for text in texts]
 
-    def __init__(self, as_json: bool):
-        super().__init__({None: "null" if as_json else ""})
-        self.as_json = as_json
 
-    def __missing__(self, value) -> str:
-        if isinstance(value, str):
-            text = encode_basestring_ascii(value) if self.as_json else value
-        elif self.as_json:
-            text = _json_number(value)
-        else:
-            text = "%.12g" % value
-        if len(self) < CELL_CACHE_SIZE and (
-            isinstance(value, str) or (isinstance(value, float) and not value.is_integer())
-        ):
-            self[value] = text
-        return text
+def _json_float(text: str) -> str:
+    """`json.dumps` of the float that '%.12g' printed as `text`."""
+    value = float(text)
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _column_texts(values: tuple, as_json: bool) -> list:
+    """One column's cell texts, each distinct cell formatted once.
+
+    A cell is None, a str, an int or a float; None prints as '' or null.
+    Cells are keyed by value, so an axis, label or level column, or a map's
+    prices, formats a few values, and a profit column one map over its
+    floats.  Equal cells print apart only across kinds (1 and 1.0) or as
+    the two zeros (0.0 and -0.0), so a column that mixes kinds or holds a
+    zero is keyed by identity instead: a grid's axis values are shared
+    objects.
+    """
+    kinds = set(map(type, values))
+    kinds.discard(type(None))
+    if len(kinds) == 1 and 0.0 not in values:
+        keys, none_key = values, None
+    else:
+        keys, none_key = list(map(id, values)), id(None)
+    distinct = dict(zip(keys, values))
+    distinct.pop(none_key, None)
+    objects = list(distinct.values())
+    if len(kinds) == 1:
+        texts = _texts(objects, as_json)
+    else:  # a column mixing str, int and float, one value at a time
+        texts = [_texts([value], as_json)[0] for value in objects]
+    if len(texts) == len(values):
+        return texts
+    table = dict(zip(distinct, texts))
+    table[none_key] = "null" if as_json else ""
+    return list(map(table.__getitem__, keys))
 
 
 def parse_axis(raw, name: str) -> tuple[float, float, int]:
@@ -244,15 +260,15 @@ def _grid_rows(axes: dict[str, list[float]], counts: Counter, row) -> list[tuple
 
     `values` are the point's axis values in AXIS_ORDER, and `label, outcome`
     is its `classify_equilibrium`.  The points go in chunks of at most
-    GRID_CHUNK.  One numpy pass takes the argmax at a chunk's baseline points
-    (gamma = mu0 = BASE; best_pooling_candidates, on empty arrays when there
-    are none), and its arrays become lists before the chunk's first point is
-    solved; the other points get no candidate, and the solver takes its
-    scalar path there.  `counts["batched"]` adds up the points that got one.
-    The values come from one product over the axis lists, so the rows share
-    the axes' float objects rather than holding a new float per cell.
-    ModelParams is built per point, so a bad value raises at the same point
-    as on the scalar path.
+    GRID_CHUNK.  One `pooling_candidates` call takes the candidate argmax at
+    every chunk point solve_pooling would solve (the baseline and the fully
+    naive market), and its arrays become lists before the chunk's first
+    point is solved; the other points, which raise, get no candidate.
+    `counts["batched"]` adds up the points that got one.  The values come
+    from one product over the axis lists, so the rows share the axes' float
+    objects rather than holding a new float per cell.  ModelParams is built
+    per point, so a bad value raises at the same point as on the scalar
+    path.
     """
     columns = [np.array(axes[axis]) for axis in AXIS_ORDER]
     shape = tuple(map(len, columns))
@@ -261,21 +277,20 @@ def _grid_rows(axes: dict[str, list[float]], counts: Counter, row) -> list[tuple
     rows = []
     for start in range(0, size, GRID_CHUNK):
         chunk = min(GRID_CHUNK, size - start)
-        h, lam, v_B, gamma, mu0 = (
+        fields = (
             column[index] for column, index in
             zip(columns, np.unravel_index(np.arange(start, start + chunk), shape))
         )
-        base = (gamma == BASE) & (mu0 == BASE)
-        counts["batched"] += int(np.count_nonzero(base))
         # A value outside the parameter box makes a candidate that is never
         # used (ModelParams rejects the point first), so its float warnings
         # are muted.
         with np.errstate(all="ignore"):
-            arrays = best_pooling_candidates(h[base], lam[base], v_B[base])
-        found = map(PoolingCandidate, *(array.tolist() for array in arrays))
-        for values, is_base in zip(itertools.islice(points, chunk), base.tolist()):
+            found, arrays = pooling_candidates(*fields)
+        counts["batched"] += int(np.count_nonzero(found))
+        candidates = map(PoolingCandidate, *(array.tolist() for array in arrays))
+        for values, has_candidate in zip(itertools.islice(points, chunk), found.tolist()):
             label, outcome = classify_equilibrium(
-                ModelParams(*values), next(found) if is_base else None
+                ModelParams(*values), next(candidates) if has_candidate else None
             )
             rows.append(row(values, label, outcome))
     return rows
@@ -326,33 +341,48 @@ def _write_rows(rows: Sequence[tuple], columns: Sequence[str], args) -> None:
 
     The CSV prints each number with 12 significant digits.  The JSON equals
     `json.dumps(..., indent=2)` of a list holding one object per row, each
-    float rounded to those 12 digits, plus a newline.  Both are written a
-    row at a time, the JSON from one row template, with the cell texts of
-    `_ColumnCells`.
+    float rounded to those 12 digits, plus a newline.  Rows go out in
+    chunks of at most GRID_CHUNK, each formatted column by column
+    (`_column_texts`); a CSV chunk is joined into lines, or written by
+    `csv.writer` where a cell needs quoting, and a JSON chunk is written
+    from one row template.
 
     Failing to open, write or close --out is a UsageError; a failed write to
     stdout propagates to `main`.
     """
     as_json = args.format == "json"
-    cells = [_ColumnCells(as_json) for _ in columns]
-    texts = (tuple(map(operator.getitem, cells, row)) for row in rows)
+    template = "  {\n%s\n  }" % ",\n".join(
+        "    %s: %%s" % encode_basestring_ascii(name).replace("%", "%%") for name in columns
+    )
     try:
         with (open(args.out, "w", encoding="utf-8", newline="") if args.out
               else contextlib.nullcontext(sys.stdout)) as fh:
             if not as_json:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(columns)
-                writer.writerows(texts)
             elif not rows:
                 fh.write("[]\n")
-            else:
-                template = "  {\n%s\n  }" % ",\n".join(
-                    "    %s: %%s" % encode_basestring_ascii(name).replace("%", "%%")
-                    for name in columns
-                )
-                fh.write(("[\n" + template) % next(texts))
-                later = ",\n" + template
-                fh.writelines(later % text for text in texts)
+            for start in range(0, len(rows), GRID_CHUNK):
+                chunk = rows[start:start + GRID_CHUNK]
+                texts = zip(*(_column_texts(column, as_json) for column in zip(*chunk)))
+                if as_json:
+                    if start == 0:
+                        fh.write("[\n" + template % next(texts))
+                    fh.writelines(map((",\n" + template).__mod__, texts))
+                    continue
+                texts = list(texts)
+                lines = "\n".join(map(",".join, texts))
+                # csv.writer quotes a cell holding a comma, quote or line
+                # break, and a row's only cell when empty; without those the
+                # joined lines are its bytes.
+                if len(columns) > 1 and '"' not in lines and "\r" not in lines and (
+                    lines.count(",") == len(texts) * (len(columns) - 1)
+                    and lines.count("\n") == len(texts) - 1
+                ):
+                    fh.write(lines + "\n")
+                else:
+                    writer.writerows(texts)
+            if as_json and rows:
                 fh.write("\n]\n")
     except OSError as exc:
         if not args.out:

@@ -100,8 +100,8 @@ def ladder_fields(h, lam, v_B) -> tuple[tuple, ...]:
     element rounds exactly as the float call does.  Each rung's posterior and
     WTP are the expressions of `model.w_bar`, `model._bayes` and
     `model.wtp_from_posterior`, less `_bayes`'s zero-denominator guard,
-    which is not array-safe and never fires here: at mu0 = 0.5 the two
-    likelihoods sum to 1, so the denominator is about 1/2.
+    which never fires here: at mu0 = 0.5 the two likelihoods sum to 1, so
+    the denominator is about 1/2.
     """
     wb = BASE * h + (1.0 - BASE) * L
     wtps = []

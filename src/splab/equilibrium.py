@@ -44,14 +44,13 @@ import numpy as np
 # build_wtp_schedule and expected_demand stay importable for the trace hooks.
 from .demand import build_wtp_schedule, expected_demand, ladder, ladder_fields  # noqa: F401
 from .model import (
+    BASE,
+    L,
+    V_G,
     ModelParams,
     ParameterError,
     Record,
     UnsupportedVariantError,
-    Valence,
-    posterior_naive,
-    w_bar,
-    wtp_from_posterior,
     _require_base,
 )
 from .oracle import bisect_threshold
@@ -153,14 +152,32 @@ def best_pooling_candidates(h, lam, v_B) -> tuple[np.ndarray, ...]:
     return best_price, _CANDIDATE_LEVELS[best], best_profit, profit_B
 
 
-def _naive_prices(params: ModelParams) -> tuple[float, float, float]:
+def _naive_fields(h, v_B, gamma, mu0) -> tuple:
     """(bad-signal WTP, good-signal WTP, w_bar) of the fully naive market.
 
-    w_bar is Pr(good valence | G); Pr(good valence | B) = 1 - w_bar.
+    w_bar is Pr(good valence | G); Pr(good valence | B) = 1 - w_bar.  The
+    fields may be floats or numpy arrays that broadcast together, as in
+    `demand.ladder_fields`: every step is one elementwise IEEE operation,
+    the expressions of `model.w_bar`, `model._bayes` and
+    `model.wtp_from_posterior`, so an array element rounds exactly as the
+    float call does.  `_bayes`'s zero-denominator guard is arithmetic here,
+    not a branch.  It fires: at h = 1, gamma = 1 - 2**-53 and mu0 = 0, w_bar
+    rounds to 1, the good-signal posterior keeps the prior 0 and its WTP is
+    v_B.
     """
-    p_low = wtp_from_posterior(posterior_naive(params, Valence.BAD), params)
-    p_high = wtp_from_posterior(posterior_naive(params, Valence.GOOD), params)
-    return p_low, p_high, w_bar(params)
+    wb = gamma * h + (1.0 - gamma) * L
+    wtps = []
+    for like_G, like_B in ((1.0 - wb, wb), (wb, 1.0 - wb)):
+        num = mu0 * like_G
+        den = num + (1.0 - mu0) * like_B
+        # Where den == 0 both of its non-negative terms are 0, so num is a
+        # zero of mu0's sign and num / 1 + mu0 is mu0, as _bayes returns;
+        # elsewhere num / den + 0 * mu0 is num / den (a -0.0 quotient needs
+        # mu0 = -0.0, whose 0 * mu0 is -0.0 too).
+        zero = den == 0.0
+        mu = num / (den + zero) + zero * mu0
+        wtps.append(mu * V_G + (1.0 - mu) * v_B)
+    return wtps[0], wtps[1], wb
 
 
 def _naive_candidate(params: ModelParams) -> PoolingCandidate:
@@ -173,11 +190,55 @@ def _naive_candidate(params: ModelParams) -> PoolingCandidate:
     best_pooling_candidate except at h = 0.5, where the five-rung argmax
     labels the tie level 1, and in the last bit of profit_B.
     """
-    p_low, p_high, wb = _naive_prices(params)
+    p_low, p_high, wb = _naive_fields(params.h, params.v_B, params.gamma, params.mu0)
     profit_high = p_high * wb
     if p_low >= profit_high:
         return PoolingCandidate(p_low, 2, p_low, p_low)
     return PoolingCandidate(p_high, 4, profit_high, p_high * (1.0 - wb))
+
+
+def naive_candidates(h, v_B, gamma, mu0) -> tuple[np.ndarray, ...]:
+    """_naive_candidate at many fully naive points, as arrays.
+
+    The fields are float arrays that broadcast together; they are not
+    validated.  Returns (price, level, profit_G, profit_B) like
+    best_pooling_candidates, with the scalar tie-break p_low >= profit_high,
+    so every field equals _naive_candidate's bit for bit.
+    """
+    h, v_B, gamma, mu0 = np.broadcast_arrays(h, v_B, gamma, mu0)
+    p_low, p_high, wb = _naive_fields(h, v_B, gamma, mu0)
+    profit_high = p_high * wb
+    low = p_low >= profit_high
+    return (
+        np.where(low, p_low, p_high),
+        _CANDIDATE_LEVELS[np.where(low, 1, 3)],
+        np.where(low, p_low, profit_high),
+        np.where(low, p_low, p_high * (1.0 - wb)),
+    )
+
+
+def pooling_candidates(h, lam, v_B, gamma, mu0) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The candidate solve_pooling takes at each of many points, as arrays.
+
+    The five fields are float arrays of one shape; they are not validated.
+    Points are routed as solve_pooling routes them: baseline points
+    (gamma = mu0 = BASE) to best_pooling_candidates, fully naive points off
+    the baseline (lam == 0) to naive_candidates, and the rest, which
+    solve_pooling refuses, to none.  Returns (found, fields): `found` marks
+    the points with a candidate, and `fields` holds (price, level, profit_G,
+    profit_B) for those points only, in order.
+    """
+    base = (gamma == BASE) & (mu0 == BASE)
+    naive = ~base & (lam == 0.0)
+    found = base | naive
+    fields = tuple(np.empty(h.shape, dtype) for dtype in (float, object, float, float))
+    for mask, computed in (
+        (base, best_pooling_candidates(h[base], lam[base], v_B[base])),
+        (naive, naive_candidates(h[naive], v_B[naive], gamma[naive], mu0[naive])),
+    ):
+        for field, values in zip(fields, computed):
+            field[mask] = values
+    return found, tuple(field[found] for field in fields)
 
 
 def solve_pooling(
@@ -188,12 +249,11 @@ def solve_pooling(
     The price is the high type's candidate argmax: best_pooling_candidate in
     the symmetric baseline, _naive_candidate in the fully naive market
     (lam = 0) at any gamma and mu0.  Other variants raise
-    UnsupportedVariantError.  A caller that already holds the baseline argmax
-    (the batched grid, from best_pooling_candidates) passes it as
-    `candidate`, which must equal best_pooling_candidate(params).  The
-    equilibrium stands iff the low type weakly prefers the price to the sure
-    full-coverage deviation payoff v_B (see the module docstring for why
-    that is the only binding deviation).
+    UnsupportedVariantError.  A caller that already holds the argmax (the
+    batched grid, from pooling_candidates) passes it as `candidate`, which
+    must equal the one chosen here.  The equilibrium stands iff the low type
+    weakly prefers the price to the sure full-coverage deviation payoff v_B
+    (see the module docstring for why that is the only binding deviation).
     """
     if candidate is not None:
         cand = candidate
@@ -639,9 +699,10 @@ def gamma_thresholds() -> tuple[float, float]:
 def hstar_prior(v_B: float, mu0: float) -> Optional[float]:
     """Precision at which the prior-model profit switches from falling to
     rising: where the good-signal price's profit catches full coverage."""
+    params = ModelParams(h=0.5, lam=0.0, v_B=v_B, mu0=mu0)
 
     def diff(h: float) -> float:
-        p_low, p_high, wb = _naive_prices(ModelParams(h=h, lam=0.0, v_B=v_B, mu0=mu0))
+        p_low, p_high, wb = _naive_fields(h, params.v_B, params.gamma, params.mu0)
         return p_high * wb - p_low
 
     return bisect_threshold(diff, (0.5, 1.0))
@@ -652,8 +713,9 @@ def prior_mu_lower(h: float, v_B: float) -> float:
 
     The existence margin profit_B - v_B can dip negative on an interior
     band of priors (the high-price region with thin good-signal demand).
-    There is no closed form; locate the margin's minimum by scanning 2001
-    evenly spaced priors, then bisect on the increasing side.  Returns 0.0
+    There is no closed form; locate the margin's minimum over 2001 evenly
+    spaced priors in one naive_candidates call (the first minimum, as
+    np.argmin picks it), then bisect on the increasing side.  Returns 0.0
     when pooling holds for every prior.
 
     Within an ulp or two of v_B = 1, rounding decides existence.  At h = 0.5
@@ -661,17 +723,17 @@ def prior_mu_lower(h: float, v_B: float) -> float:
     one ulp above v_B as mu0 moves, so this returns 0.295; at
     v_B = 1 - 2**-52 no margin is negative and it returns 0.0.
     """
+    params = ModelParams(h=h, lam=0.0, v_B=v_B)
 
     def margin(mu0: float) -> float:
-        cand = _naive_candidate(ModelParams(h=h, lam=0.0, v_B=v_B, mu0=mu0))
-        return cand.profit_B - v_B
+        cand = _naive_candidate(ModelParams(h=params.h, lam=0.0, v_B=params.v_B, mu0=mu0))
+        return cand.profit_B - params.v_B
 
-    grid = [k / 2000 for k in range(2001)]
-    margins = [margin(m) for m in grid]
-    if all(m >= 0.0 for m in margins):
+    grid = np.arange(2001) / 2000
+    margins = naive_candidates(params.h, params.v_B, params.gamma, grid)[3] - params.v_B
+    if (margins >= 0.0).all():
         return 0.0
-    worst = min(range(len(grid)), key=lambda k: margins[k])
-    root = bisect_threshold(margin, (grid[worst], 1.0))
+    root = bisect_threshold(margin, (float(grid[np.argmin(margins)]), 1.0))
     assert root is not None  # margin at mu0=1 is 1 - v_B > 0
     return root
 

@@ -6,6 +6,11 @@ rungs and v_B are sorted by (price, level, v_B last), each candidate's
 demand is looked up with `expected_demand`, and the first strictly larger
 profit_G wins, so ties go to the lower price and then the lower level.  It
 lives in the tests only, where the fast argmax must equal it bit for bit.
+
+`naive_candidate` is the fully naive market's two-price argmax as
+`splab.equilibrium._naive_candidate` computed it before its posteriors
+became one body for floats and arrays: `_bayes` guards a zero denominator
+with a branch.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from typing import Optional
 
 from splab import ModelParams, Quality, build_wtp_schedule, expected_demand
 from splab.equilibrium import PoolingCandidate
+from splab.model import L, V_G
 
 
 def best_pooling_candidate(params: ModelParams) -> PoolingCandidate:
@@ -32,3 +38,23 @@ def best_pooling_candidate(params: ModelParams) -> PoolingCandidate:
             best = PoolingCandidate(price, level, pg, pb)
     assert best is not None
     return best
+
+
+def _bayes(mu0: float, like_G: float, like_B: float) -> float:
+    num = mu0 * like_G
+    den = num + (1.0 - mu0) * like_B
+    if den == 0.0:
+        return mu0
+    return num / den
+
+
+def naive_candidate(params: ModelParams) -> PoolingCandidate:
+    wb = params.gamma * params.h + (1.0 - params.gamma) * L
+    p_low, p_high = (
+        mu * V_G + (1.0 - mu) * params.v_B
+        for mu in (_bayes(params.mu0, 1.0 - wb, wb), _bayes(params.mu0, wb, 1.0 - wb))
+    )
+    profit_high = p_high * wb
+    if p_low >= profit_high:
+        return PoolingCandidate(p_low, 2, p_low, p_low)
+    return PoolingCandidate(p_high, 4, profit_high, p_high * (1.0 - wb))

@@ -272,6 +272,12 @@ class TestPriorExtension:
         above = solve_prior(ModelParams(h=1.0, lam=0.0, v_B=0.22, mu0=min(1.0, floor + 0.05)))
         assert below.kind == "none" and above.kind == "pooling"
 
+    def test_prior_floor_where_rounding_decides_existence(self):
+        # The docstring's cases: at v_B = 1 - 2**-53 the margin dips one ulp
+        # below 0 on a band of priors; at v_B = 1 - 2**-52 it never does.
+        assert prior_mu_lower(0.5, 1.0 - 2**-53) == pytest.approx(0.295, abs=1e-12)
+        assert prior_mu_lower(0.5, 1.0 - 2**-52) == 0.0
+
     def test_requires_prior_variant_preconditions(self):
         with pytest.raises(UnsupportedVariantError):
             solve_prior(ModelParams(h=0.6, lam=0.5, v_B=0.0, mu0=0.7))

@@ -1,11 +1,13 @@
 """The chunked grid engine against the scalar path, bit for bit and byte for byte.
 
 `splab.cli._grid_rows` walks a grid in chunks of at most GRID_CHUNK points
-and takes each chunk's baseline argmax in one numpy pass
-(`best_pooling_candidates`).  These tests hold that pass to the scalar
-`best_pooling_candidate` over the whole parameter box, hold the rows to the
-per-point bodies in `reference_grid.py`, hold the CLI bytes to digests
-recorded before the change, and bound the memory the chunks take.
+and takes each chunk's candidates in one `pooling_candidates` call: the
+baseline argmax (`best_pooling_candidates`) and the fully naive market's
+(`naive_candidates`).  These tests hold both passes to the scalar
+`best_pooling_candidate` and `_naive_candidate` over the whole parameter
+box, hold the rows to the per-point bodies in `reference_grid.py`, hold the
+CLI bytes to digests recorded before each pass was batched, and bound the
+memory the chunks take.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference_candidate
 import reference_grid as reference
 import splab.cli as cli
 import splab.equilibrium as equilibrium
 from splab import ModelParams, UnsupportedVariantError, best_pooling_candidate
-from splab.equilibrium import best_pooling_candidates
+from splab.equilibrium import _naive_candidate, best_pooling_candidates, naive_candidates
 from splab.model import ParameterError
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "grid_digests.json"
@@ -95,10 +98,46 @@ class TestBatchedCandidates:
         assert price.shape == level.shape == profit_G.shape == profit_B.shape == (3,)
 
 
+box_gammas = st.one_of(
+    st.sampled_from([5e-324, 0.5, 1.0 - 2**-53]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+box_mu0s = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+#: Every corner of the naive box, then the point where w_bar rounds to 1 and
+#: the good-signal posterior's denominator is 0 (the price is v_B there).
+NAIVE_EDGES = [
+    (h, v_B, gamma, mu0)
+    for h in (0.5, 1.0) for v_B in (0.0, 1.0 - 2**-53)
+    for gamma in (5e-324, 1.0 - 2**-53) for mu0 in (0.0, 1.0)
+] + [(1.0, 0.3, 1.0 - 2**-53, 0.0)]
+
+
+class TestNaiveCandidates:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(box_hs, box_vbs, box_gammas, box_mu0s), min_size=1, max_size=40))
+    @example(NAIVE_EDGES)
+    def test_equals_scalar_naive_argmax_field_by_field(self, points):
+        h, v_B, gamma, mu0 = (np.array(column) for column in zip(*points))
+        fields = [array.tolist() for array in naive_candidates(h, v_B, gamma, mu0)]
+        for k, (h_k, v_k, gamma_k, mu0_k) in enumerate(points):
+            params = ModelParams(h_k, 0.0, v_k, gamma_k, mu0_k)
+            want = _naive_candidate(params)
+            # repr tells -0.0 from 0.0, an int level from a float, and NaN.
+            assert repr(tuple(want)) == repr(tuple(reference_candidate.naive_candidate(params)))
+            assert repr(tuple(field[k] for field in fields)) == repr(tuple(want)), points[k]
+
+    def test_zero_denominator_point_prices_at_v_B(self):
+        params = ModelParams(h=1.0, lam=0.0, v_B=0.3, gamma=1.0 - 2**-53, mu0=0.0)
+        assert params.gamma * params.h + (1.0 - params.gamma) * 0.5 == 1.0
+        assert _naive_candidate(params) == (0.3, 2, 0.3, 0.3)
+
+
 #: Grids of each kind the engine meets: the chunk boundary inside the
-#: baseline grid, chunks that mix batched and scalar points, the mixed band,
-#: where pooling fails and solve_mixed answers, and chunks with no baseline
-#: point, whose candidate pass runs on empty arrays.
+#: baseline grid, chunks that mix baseline and naive points, the mixed band,
+#: where pooling fails and solve_mixed answers, chunks with no baseline
+#: point, whose baseline pass runs on empty arrays, and the naive market's
+#: edges, among them h = 1, gamma = 1 - 2**-53, mu0 = 0, where w_bar rounds
+#: to 1 and the good-signal posterior's denominator is 0.
 ROW_GRIDS = {
     "baseline": ("--h", "0.5:1:41", "--lambda", "0:1:41", "--vb", "0:0.6:4"),
     "naive_off_baseline": (
@@ -109,6 +148,10 @@ ROW_GRIDS = {
     "no_baseline_point": (
         "--h", "0.5:1:81", "--lambda", "0", "--vb", "0:0.3:4",
         "--gamma", "0.3:0.7:4", "--mu0", "0.3:0.7:4",
+    ),
+    "naive_edges": (
+        "--h", "0.5:1:3", "--lambda", "0", "--vb", "0:0.9999999999999999:2",
+        "--gamma", "5e-324:0.9999999999999999:2", "--mu0", "0:1:3",
     ),
 }
 #: Grids that fail part way, in the second chunk: lam > 0 off the baseline,
@@ -140,7 +183,8 @@ class TestGridRows:
         # which pytest takes minutes to print.
         first = next((k for k, (a, b) in enumerate(zip(got, want)) if repr(a) != repr(b)), None)
         assert first is None, (first, got[first], want[first])
-        assert counts["batched"] == sum(row[3] == row[4] == 0.5 for row in got)
+        # Baseline points and fully naive ones (lam == 0) get a candidate.
+        assert counts["batched"] == sum(row[3] == row[4] == 0.5 or row[1] == 0.0 for row in got)
 
     def test_grids_reach_every_path(self):
         labels = {
@@ -212,12 +256,12 @@ class TestMemory:
 
     def test_no_array_outgrows_a_chunk(self, monkeypatch):
         axes = _axes("--h", "0.5:1:501", "--lambda", "0:1:501", "--vb", "0.22")
-        batched = cli.best_pooling_candidates
+        batched = cli.pooling_candidates
         largest, sizes = [], []
 
         def measured(*arrays):
-            out = batched(*arrays)
-            sizes.append(max(array.size for array in (*arrays, *out)))
+            found, fields = out = batched(*arrays)
+            sizes.append(max(array.size for array in (*arrays, found, *fields)))
             if len(sizes) % 20 == 1:
                 # Every numpy buffer alive now: the chunk's index and value
                 # arrays, the inputs and the outputs.
@@ -227,7 +271,7 @@ class TestMemory:
                 ))
             return out
 
-        monkeypatch.setattr(cli, "best_pooling_candidates", measured)
+        monkeypatch.setattr(cli, "pooling_candidates", measured)
         # Only the arrays matter here; skipping the per-point ModelParams and
         # classify keeps the traced walk of 251 001 points short.
         monkeypatch.setattr(cli, "ModelParams", lambda *values: None)

@@ -4,8 +4,11 @@
 writes JSON from a row template; `tests/reference_writer.py` is the body it
 replaced (`csv.writer` over `fmt`, one `json.dumps(..., indent=2)`).  Tables
 are drawn from a small pool of cells per test, so values repeat within a
-column and the per-column caches are hit, and the pool mixes the cells the
-caches could confuse: 0.0 with -0.0, 1 with 1.0, NaN, and the infinities.
+column, and the pool mixes the cells a formatter keyed on values could
+confuse: 0.0 with -0.0, 1 with 1.0, NaN, and the infinities.  The writer
+formats at most GRID_CHUNK rows at a time, so deterministic tables of more
+rows cross chunk boundaries, with shared and distinct cell objects, as a
+grid's axis and profit columns hold them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from splab.cli import _write_rows
+from splab.cli import GRID_CHUNK, _write_rows
 
 import reference_writer as reference
 
@@ -102,3 +105,44 @@ def test_signed_zeros_and_non_finite_floats_print_as_json_dumps_does():
     assert _stdout(_write_rows, rows, ("x",), "csv").splitlines()[1:] == [
         "0", "-0", "nan", "inf", "-inf", "0", "-0",
     ]
+
+
+#: Floats a grid column repeats: signed zeros, subnormals, and the values
+#: '%.12g' prints in exponent form or rounds.
+GRID_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e12, 123456789012.5,
+    1e13 + 0.5, 1e15, 9999999999999998.0, 1e16, 0.1 + 0.2, 0.5,
+)
+GRID_COLUMNS = ("h", "profit", "level", "a,b", "price", "label", 'say "hi"', "100%s")
+
+
+def _grid_table(size: int) -> list[tuple]:
+    """`size` rows: an axis-like column of shared floats, a column of
+    distinct floats, ints 1..5 beside 1.0 and 2.0, a column that is mostly
+    None, labels, a non-finite column, and a column of None only."""
+    labels = ("R1", "mixed", "a,b", '"q"', None)
+    levels = (1, 2, 3, 4, 5, 1.0, 2.0, None)
+    rows = []
+    for k in range(size):
+        # float() of a str builds a new object per row, equal values included.
+        distinct = float(repr(GRID_FLOATS[k % len(GRID_FLOATS)] * (1 + k % 3)))
+        rows.append((
+            GRID_FLOATS[k // 7 % len(GRID_FLOATS)],
+            distinct,
+            levels[k % len(levels)],
+            float(repr((k % 11) * 0.1)) if k % 3 == 0 else None,
+            (math.nan, math.inf, -math.inf, distinct)[k % 4],
+            labels[k % len(labels)],
+            None,
+            k,
+        ))
+    return rows
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("size", [GRID_CHUNK, GRID_CHUNK + 1, 2 * GRID_CHUNK + 7])
+def test_grid_sized_tables_match_reference(fmt, size, tmp_path):
+    rows = _grid_table(size)
+    want = _stdout(reference.write_rows, rows, GRID_COLUMNS, fmt)
+    assert _stdout(_write_rows, rows, GRID_COLUMNS, fmt) == want
+    assert _file(_write_rows, rows, GRID_COLUMNS, fmt, tmp_path / "out") == want.encode()
