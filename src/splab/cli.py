@@ -143,12 +143,11 @@ def _column_texts(values: tuple, as_json: bool) -> list:
     """One column's cell texts, each distinct cell formatted once.
 
     A cell is None, a str, an int or a float; None prints as '' or null.
-    Cells are keyed by value, so an axis, label or level column, or a map's
-    prices, formats a few values, and a profit column one map over its
-    floats.  Equal cells print apart only across kinds (1 and 1.0) or as
-    the two zeros (0.0 and -0.0), so a column that mixes kinds or holds a
-    zero is keyed by identity instead: a grid's axis values are shared
-    objects.
+    Cells are keyed by value: a map's labels and prices repeat by value in
+    objects of their own, one per point.  Equal cells print apart only
+    across kinds (1 and 1.0) or as the two zeros (0.0 and -0.0), so a
+    column that mixes kinds or holds a zero is keyed by identity instead,
+    and one that mixes kinds is formatted one value at a time.
     """
     kinds = set(map(type, values))
     kinds.discard(type(None))
@@ -161,10 +160,8 @@ def _column_texts(values: tuple, as_json: bool) -> list:
     objects = list(distinct.values())
     if len(kinds) == 1:
         texts = _texts(objects, as_json)
-    else:  # a column mixing str, int and float, one value at a time
+    else:
         texts = [_texts([value], as_json)[0] for value in objects]
-    if len(texts) == len(values):
-        return texts
     table = dict(zip(distinct, texts))
     table[none_key] = "null" if as_json else ""
     return list(map(table.__getitem__, keys))
@@ -343,9 +340,8 @@ def _write_rows(rows: Sequence[tuple], columns: Sequence[str], args) -> None:
     `json.dumps(..., indent=2)` of a list holding one object per row, each
     float rounded to those 12 digits, plus a newline.  Rows go out in
     chunks of at most GRID_CHUNK, each formatted column by column
-    (`_column_texts`); a CSV chunk is joined into lines, or written by
-    `csv.writer` where a cell needs quoting, and a JSON chunk is written
-    from one row template.
+    (`_column_texts`); `csv.writer` writes a CSV chunk's texts, and a JSON
+    chunk is written from one row template.
 
     Failing to open, write or close --out is a UsageError; a failed write to
     stdout propagates to `main`.
@@ -365,23 +361,12 @@ def _write_rows(rows: Sequence[tuple], columns: Sequence[str], args) -> None:
             for start in range(0, len(rows), GRID_CHUNK):
                 chunk = rows[start:start + GRID_CHUNK]
                 texts = zip(*(_column_texts(column, as_json) for column in zip(*chunk)))
-                if as_json:
-                    if start == 0:
-                        fh.write("[\n" + template % next(texts))
-                    fh.writelines(map((",\n" + template).__mod__, texts))
-                    continue
-                texts = list(texts)
-                lines = "\n".join(map(",".join, texts))
-                # csv.writer quotes a cell holding a comma, quote or line
-                # break, and a row's only cell when empty; without those the
-                # joined lines are its bytes.
-                if len(columns) > 1 and '"' not in lines and "\r" not in lines and (
-                    lines.count(",") == len(texts) * (len(columns) - 1)
-                    and lines.count("\n") == len(texts) - 1
-                ):
-                    fh.write(lines + "\n")
-                else:
+                if not as_json:
                     writer.writerows(texts)
+                    continue
+                if start == 0:
+                    fh.write("[\n" + template % next(texts))
+                fh.writelines(map((",\n" + template).__mod__, texts))
             if as_json and rows:
                 fh.write("\n]\n")
     except OSError as exc:

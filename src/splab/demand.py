@@ -32,12 +32,12 @@ from dataclasses import dataclass
 from .model import (
     BASE,
     L,
-    V_G,
     ModelParams,
     ParameterError,
     Quality,
     Record,
     _require_base,
+    posterior_wtp,
 )
 
 #: Population segment behind each WTP level, lowest to highest.
@@ -97,21 +97,20 @@ def ladder_fields(h, lam, v_B) -> tuple[tuple, ...]:
 
     The fields may be floats or numpy arrays that broadcast together; every
     step is one elementwise IEEE operation in a fixed order, so an array
-    element rounds exactly as the float call does.  Each rung's posterior and
-    WTP are the expressions of `model.w_bar`, `model._bayes` and
-    `model.wtp_from_posterior`, less `_bayes`'s zero-denominator guard,
-    which never fires here: at mu0 = 0.5 the two likelihoods sum to 1, so
-    the denominator is about 1/2.
+    element rounds exactly as the float call does.  w_bar is `model.w_bar`'s
+    expression and each rung's WTP is `model.posterior_wtp`.
     """
     wb = BASE * h + (1.0 - BASE) * L
-    wtps = []
     # Pr(signal | G), Pr(signal | B) of each rung's signal, in CONSUMER_LABELS order.
-    for like_G, like_B in ((1.0 - h, h), (1.0 - wb, wb), (L, 1.0 - L), (wb, 1.0 - wb), (h, 1.0 - h)):
-        num = BASE * like_G
-        mu = num / (num + (1.0 - BASE) * like_B)
-        wtps.append(mu * V_G + (1.0 - mu) * v_B)
+    wtps = (
+        posterior_wtp(BASE, 1.0 - h, h, v_B),
+        posterior_wtp(BASE, 1.0 - wb, wb, v_B),
+        posterior_wtp(BASE, L, 1.0 - L, v_B),
+        posterior_wtp(BASE, wb, 1.0 - wb, v_B),
+        posterior_wtp(BASE, h, 1.0 - h, v_B),
+    )
     mass_G = _rung_masses(h, lam)
-    return tuple(wtps), _suffix_sums(mass_G), _suffix_sums(mass_G[::-1])
+    return wtps, _suffix_sums(mass_G), _suffix_sums(mass_G[::-1])
 
 
 def _rung_masses(h, lam) -> tuple:

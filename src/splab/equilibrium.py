@@ -46,12 +46,12 @@ from .demand import build_wtp_schedule, expected_demand, ladder, ladder_fields  
 from .model import (
     BASE,
     L,
-    V_G,
     ModelParams,
     ParameterError,
     Record,
     UnsupportedVariantError,
     _require_base,
+    posterior_wtp,
 )
 from .oracle import bisect_threshold
 
@@ -157,27 +157,14 @@ def _naive_fields(h, v_B, gamma, mu0) -> tuple:
 
     w_bar is Pr(good valence | G); Pr(good valence | B) = 1 - w_bar.  The
     fields may be floats or numpy arrays that broadcast together, as in
-    `demand.ladder_fields`: every step is one elementwise IEEE operation,
-    the expressions of `model.w_bar`, `model._bayes` and
-    `model.wtp_from_posterior`, so an array element rounds exactly as the
-    float call does.  `_bayes`'s zero-denominator guard is arithmetic here,
-    not a branch.  It fires: at h = 1, gamma = 1 - 2**-53 and mu0 = 0, w_bar
-    rounds to 1, the good-signal posterior keeps the prior 0 and its WTP is
-    v_B.
+    `demand.ladder_fields`: w_bar is `model.w_bar`'s expression and each WTP
+    is `model.posterior_wtp`, so an array element rounds exactly as the
+    float call does.  posterior_wtp's zero-denominator guard fires here: at
+    h = 1, gamma = 1 - 2**-53 and mu0 = 0, w_bar rounds to 1, the
+    good-signal posterior keeps the prior 0 and its WTP is v_B.
     """
     wb = gamma * h + (1.0 - gamma) * L
-    wtps = []
-    for like_G, like_B in ((1.0 - wb, wb), (wb, 1.0 - wb)):
-        num = mu0 * like_G
-        den = num + (1.0 - mu0) * like_B
-        # Where den == 0 both of its non-negative terms are 0, so num is a
-        # zero of mu0's sign and num / 1 + mu0 is mu0, as _bayes returns;
-        # elsewhere num / den + 0 * mu0 is num / den (a -0.0 quotient needs
-        # mu0 = -0.0, whose 0 * mu0 is -0.0 too).
-        zero = den == 0.0
-        mu = num / (den + zero) + zero * mu0
-        wtps.append(mu * V_G + (1.0 - mu) * v_B)
-    return wtps[0], wtps[1], wb
+    return posterior_wtp(mu0, 1.0 - wb, wb, v_B), posterior_wtp(mu0, wb, 1.0 - wb, v_B), wb
 
 
 def _naive_candidate(params: ModelParams) -> PoolingCandidate:

@@ -258,7 +258,28 @@ def posterior_with_prior(
 def wtp_from_posterior(mu: float, params: ModelParams) -> float:
     """Willingness to pay of a consumer with belief mu: mu*V_G + (1-mu)*v_B.
 
-    All modules derive prices from posteriors through this one function so
-    that analytically equal willingness-to-pay values are bitwise equal.
+    Prices come from posteriors through this expression only, here or in
+    its array form `posterior_wtp`, so that analytically equal
+    willingness-to-pay values are bitwise equal.
     """
     return mu * V_G + (1.0 - mu) * params.v_B
+
+
+def posterior_wtp(mu0, like_G, like_B, v_B):
+    """The WTP of `_bayes(mu0, like_G, like_B)`, on floats or numpy arrays.
+
+    The fields may be floats or arrays that broadcast together.  Every step
+    is one elementwise IEEE operation in the order of `_bayes` and
+    `wtp_from_posterior`, so an array element rounds exactly as the float
+    call does.  `_bayes`'s zero-denominator guard is arithmetic, not a
+    branch: where den == 0 both of its non-negative terms are 0, so num is
+    a zero of mu0's sign and num / 1 + mu0 is mu0, as `_bayes` returns;
+    elsewhere num / den + 0 * mu0 is num / den (a -0.0 quotient needs
+    mu0 = -0.0, whose 0 * mu0 is -0.0 too).  The baseline ladder and the
+    fully naive market price through it.
+    """
+    num = mu0 * like_G
+    den = num + (1.0 - mu0) * like_B
+    zero = den == 0.0
+    mu = num / (den + zero) + zero * mu0
+    return mu * V_G + (1.0 - mu) * v_B
