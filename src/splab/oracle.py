@@ -8,14 +8,17 @@ rather than tautology.
 
 The enumeration sums the cells once per call into a step table: the
 sorted distinct WTPs and the demand on each step between them.  Prices
-are looked up in that table, and the grid argmax scores every point of a
-cached uniform mesh, and separately every candidate price in range,
-against it.
+are looked up in that table.  The grid argmax scores every point of a
+cached uniform mesh against it in one numpy pass, then the at most nine
+candidate prices in range (the distinct WTPs and v_B) one by one as
+Python floats, each on the step that `bisect_left` finds, which is the
+step and the IEEE product the mesh pass would give it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -135,10 +138,11 @@ def _mesh(grid: GridSpec) -> np.ndarray:
     return mesh
 
 
-def _grid_prices(wtps: np.ndarray, v_B: float, grid: GridSpec) -> np.ndarray:
+def _grid_prices(wtps: list[float], v_B: float, grid: GridSpec) -> list[float]:
     """The candidate prices (distinct WTPs and v_B) inside the grid's range, ascending."""
-    prices = np.unique(np.append(wtps, v_B))
-    return prices[(prices >= grid.price_min) & (prices <= grid.price_max)]
+    return sorted(
+        price for price in {*wtps, v_B} if grid.price_min <= price <= grid.price_max
+    )
 
 
 def _first_max(prices: np.ndarray, wtps: np.ndarray, steps: np.ndarray) -> tuple[float, float]:
@@ -161,6 +165,9 @@ def _first_max(prices: np.ndarray, wtps: np.ndarray, steps: np.ndarray) -> tuple
     return float(prices[i]), float(profits[i])
 
 
+_DEFAULT_GRID = GridSpec()
+
+
 def grid_argmax(
     params: ModelParams, quality: Quality, grid: GridSpec | None = None
 ) -> tuple[float, float]:
@@ -170,13 +177,16 @@ def grid_argmax(
     ties break toward the lower price.
     """
     if grid is None:
-        grid = GridSpec()
+        grid = _DEFAULT_GRID
     wtps, steps = _demand_steps(params, quality)
-    best = [_first_max(_mesh(grid), wtps, steps)]
-    candidates = _grid_prices(wtps, params.v_B, grid)
-    if candidates.size:
-        best.append(_first_max(candidates, wtps, steps))
-    return max(best, key=lambda scored: (scored[1], -scored[0]))
+    best_price, best_profit = _first_max(_mesh(grid), wtps, steps)
+    wtp_list, step_list = wtps.tolist(), steps.tolist()
+    for price in _grid_prices(wtp_list, params.v_B, grid):
+        # The step searchsorted(wtps, price, side="left") picks.
+        profit = price * step_list[bisect_left(wtp_list, price)]
+        if profit > best_profit or (profit == best_profit and price < best_price):
+            best_price, best_profit = price, profit
+    return best_price, best_profit
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ refactor that deletes or renames one of them, or that stops calling
 region kinds there), would otherwise fail only in traced benchmark runs.
 Likewise a three-way tie that stops calling `bisect_threshold` through the
 module global, or a `_structure_constants` that is no longer the cached
-function, would zero the traced `threshold-table` counters silently.
+function, would zero the traced `threshold-table` counters silently, and a
+`grid_argmax` that stops calling `_grid_prices` through the module global
+would zero the traced `oracle-audit` candidate count.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from pathlib import Path
 
 import splab.cli as cli
 import splab.equilibrium as equilibrium
-from splab import ModelParams
+import splab.oracle as oracle
+from splab import ModelParams, Quality
 from test_cli_golden import CASES, GOLDEN_DIR
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -84,3 +87,19 @@ def test_trace_counts_threshold_bisection(monkeypatch):
         tracer.uninstall()
     assert tracer.counts["oracle.bisect_evals"] > 0
     assert equilibrium._structure_constants.cache_info().misses > misses
+
+
+def test_trace_counts_grid_candidates(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    from tracer import Tracer
+
+    tracer = Tracer()
+    layers.install(tracer)
+    tracer.active = True
+    try:
+        oracle.grid_argmax(ModelParams(h=0.7, lam=1.0, v_B=0.1), Quality.G)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert tracer.counts["oracle.grid_prices"] > 0

@@ -44,8 +44,19 @@ box = st.builds(
 
 @st.composite
 def grids(draw):
-    """The default grid, fixed grids that cut off some candidates, or any grid."""
-    fixed = [GridSpec(), GridSpec(0.3, 0.8, 5001), GridSpec(0.0, 0.5, 1001), GridSpec(0.6, 1.0, 7)]
+    """The default grid, fixed grids that cut off some candidates, or any grid.
+
+    GridSpec(0.999, 1.0, 3) holds no candidate below the top WTP, and
+    GridSpec(0.25, 1.0, 301) starts on v_B = 0.25, often also a cell's WTP.
+    """
+    fixed = [
+        GridSpec(),
+        GridSpec(0.3, 0.8, 5001),
+        GridSpec(0.0, 0.5, 1001),
+        GridSpec(0.6, 1.0, 7),
+        GridSpec(0.999, 1.0, 3),
+        GridSpec(0.25, 1.0, 301),
+    ]
     if draw(st.booleans()):
         return draw(st.sampled_from(fixed))
     ends = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True))
@@ -183,9 +194,21 @@ class TestGridArgmax:
     @example(params=ModelParams(h=1.0, lam=1.0, v_B=0.25), grid=GridSpec())
     @example(params=ModelParams(h=0.5, lam=0.0, v_B=0.0), grid=GridSpec())
     @example(params=ModelParams(h=0.7, lam=1.0, v_B=0.1), grid=GridSpec(0.0, 0.5, 5001))
+    # ModelParams admits -0.0: the lowest cell WTP is then 0.0 beside a -0.0
+    # candidate v_B.
+    @example(params=ModelParams(h=1.0, lam=0.0, v_B=-0.0), grid=GridSpec())
+    @example(params=ModelParams(h=1.0, lam=-0.0, v_B=-0.0), grid=GridSpec())
+    @example(params=ModelParams(h=1.0, lam=1.0, v_B=-0.0), grid=GridSpec(0.0, 0.5, 1001))
+    # No candidate in range: every WTP lies below 0.999.
+    @example(params=ModelParams(h=0.8, lam=0.5, v_B=0.1), grid=GridSpec(0.999, 1.0, 3))
+    # price_min on a WTP: 0.55 is the worked example's candidate price.
+    @example(params=ModelParams(h=0.7, lam=1.0, v_B=0.1), grid=GridSpec(0.55, 1.0, 46))
     def test_equals_union_grid_reference(self, params, grid):
+        # repr, not ==, so a -0.0 price or profit cannot pass for 0.0.
         for quality in Quality:
-            assert grid_argmax(params, quality, grid) == reference.grid_argmax(params, quality, grid)
+            assert repr(grid_argmax(params, quality, grid)) == repr(
+                reference.grid_argmax(params, quality, grid)
+            )
 
 
 class TestSimulation:
