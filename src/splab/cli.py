@@ -450,6 +450,27 @@ def _bisected_level_boundary(lam: float, v_B: float, max_level: int) -> float:
     return 0.5 * (lo + hi)
 
 
+def _bisected_three_way_tie(
+    v_B: float, low: int, high: int, other: int, bracket: tuple[float, float]
+) -> Optional[float]:
+    """lambda where level `other` meets the low/high tie, by nested bisection.
+
+    The inner bisection finds the low/high tie in h at each lambda, the
+    outer one where the level-`other` profit crosses it there; both read
+    only the ladder.  The low/high tie lies inside (0.5, 1) over the bracket
+    for every v_B verify draws (at most 0.95).
+    """
+
+    def excess(lam: float) -> float:
+        h = bisect_threshold(
+            lambda x: _level_profit_G(x, lam, v_B, low) - _level_profit_G(x, lam, v_B, high),
+            (0.5, 1.0),
+        )
+        return _level_profit_G(h, lam, v_B, low) - _level_profit_G(h, lam, v_B, other)
+
+    return bisect_threshold(excess, bracket)
+
+
 def _bisection_gaps(params: ModelParams) -> list[float]:
     """|thresholds() - bisection on the ladder| for the fields that have a
     bisection route independent of the profit polynomials."""
@@ -464,6 +485,13 @@ def _bisection_gaps(params: ModelParams) -> list[float]:
     lambda_hat2 = bisect_threshold(
         lambda x: _level_profit_G(1.0, x, v, 3) - _level_profit_G(1.0, x, v, 4), (0.0, 1.0)
     )
+    # The three-way ties on thresholds()' brackets: lambda_hat1 where levels
+    # 2, 3, 4 meet below lambda_hat2, lambda_hat3 where levels 1, 2, 3 meet.
+    eps = 1e-6
+    lambda_hat1 = None
+    if lambda_hat2 is not None and eps < lambda_hat2 - eps:
+        lambda_hat1 = _bisected_three_way_tie(v, 3, 4, 2, (eps, lambda_hat2 - eps))
+    lambda_hat3 = _bisected_three_way_tie(v, 1, 2, 3, (eps, 1.0 - eps))
     # h_underline and h_overline: where the all-sophisticated market's
     # level-3 profit meets the fully naive market's level-2 and level-4 ones.
     h_underline = bisect_threshold(
@@ -473,7 +501,9 @@ def _bisection_gaps(params: ModelParams) -> list[float]:
         lambda h: _level_profit_G(h, 1.0, v, 3) - _level_profit_G(h, 0.0, v, 4), (0.5, 1.0)
     )
     for got, want in (
+        (ts.lambda_hat1, lambda_hat1),
         (ts.lambda_hat2, lambda_hat2),
+        (ts.lambda_hat3, lambda_hat3),
         (ts.h_underline, h_underline),
         (ts.h_overline, h_overline),
     ):

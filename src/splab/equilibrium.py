@@ -24,12 +24,13 @@ lam, and h_underline, h_overline and v_bar have closed forms.  At one
 (lam, v_B) the sorted pairwise ties in h split (0.5, 1) into a level map:
 pieces on which no two levels swap order, so one evaluation per piece gives
 its argmax level, and h_hat1, h_star and h_hat3 are the left ends of the
-first pieces whose level exceeds 1, 2 and 3.  Only the two three-way ties
-lambda_hat1 and lambda_hat3, which have no closed form, bisect over the
-closed-form pairwise ties.  The precision-mix thresholds (gamma_switch,
-gamma_thresholds) are radicals too; only the prior thresholds (hstar_prior,
-prior_mu_lower) still bisect.  The tests and `splab verify` check the engine
-against bisection on the ladder itself.
+first pieces whose level exceeds 1, 2 and 3.  The two three-way ties
+lambda_hat1 and lambda_hat3 are each a root of one quartic in h, found
+without numpy by splitting at the roots of its derivatives.  The
+precision-mix thresholds (gamma_switch, gamma_thresholds) are radicals too;
+only the prior thresholds (hstar_prior, prior_mu_lower) still bisect.  The
+tests and `splab verify` check the engine against bisection on the ladder
+itself.
 """
 
 from __future__ import annotations
@@ -92,20 +93,30 @@ class PoolingCandidate(NamedTuple):
 def best_pooling_candidate(params: ModelParams) -> PoolingCandidate:
     """Argmax of the high type's profit over the six candidate prices.
 
-    Candidates are the five WTP rungs plus v_B.  Rung k earns
-    wtp_k * coverage_k off the flat `ladder` tuples; v_B earns the coverage
-    of the lowest rung covering it.  Ties go to the lower price, then the
-    lower level, v_B last.  Only the winner becomes a PoolingCandidate; the
-    WtpLevel/WtpSchedule objects are left to build_wtp_schedule's callers
-    (`verify`, the demos, the library).  The argmax is defined whether or
-    not the pooling equilibrium exists, which the threshold engine relies on.
+    Candidates are the five WTP rungs plus v_B; see _candidate_scan.  The
+    argmax is defined whether or not the pooling equilibrium exists, which
+    the threshold engine relies on.
     """
-    wtps, cov_G, cov_B = ladder(params)
-    v = params.v_B
+    return _candidate_scan(ladder(params), params.v_B)
+
+
+def _candidate_scan(fields: tuple[tuple[float, ...], ...], v: float) -> PoolingCandidate:
+    """best_pooling_candidate on the flat `ladder_fields` tuples at v_B = v.
+
+    Rung k earns wtp_k * coverage_k; v_B earns the coverage of the lowest
+    rung covering it.  Ties go to the lower price, then the lower level, v_B
+    last.  Only the winner becomes a PoolingCandidate; the WtpLevel/
+    WtpSchedule objects are left to build_wtp_schedule's callers (`verify`,
+    the demos, the library).
+    """
+    wtps, cov_G, cov_B = fields
     prices = (*wtps, v)
     # Each candidate's index into the coverages: v_B's is its covering rung,
     # or 5 (coverage 0) above the top rung.
-    rungs = (0, 1, 2, 3, 4, next((k for k in range(5) if v <= wtps[k]), 5))
+    covering = 0
+    while covering < 5 and v > wtps[covering]:
+        covering += 1
+    rungs = (0, 1, 2, 3, 4, covering)
     cov_G, cov_B = (*cov_G, 0.0), (*cov_B, 0.0)
     best, best_profit = 0, prices[0] * cov_G[0]
     for i in range(1, 6):
@@ -337,7 +348,8 @@ def _level_profit_G(h: float, lam: float, v_B: float, level: int) -> float:
 
 
 def _argmax_level(h: float, lam: float, v_B: float) -> int:
-    cand = best_pooling_candidate(ModelParams(h=h, lam=lam, v_B=v_B))
+    """best_pooling_candidate's level at a baseline point (v_B counts as 1)."""
+    cand = _candidate_scan(ladder_fields(h, lam, v_B), v_B)
     return cand.level if cand.level is not None else 1
 
 
@@ -369,6 +381,13 @@ def _interpolate(y: list[float]) -> Quadratic:
 
 def _sub(p: Quadratic, q: Quadratic) -> Quadratic:
     return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
+
+
+def _mul(p: Quadratic, q: Quadratic) -> tuple[float, ...]:
+    """p * q, a quartic in ascending coefficients."""
+    p0, p1, p2 = p
+    q0, q1, q2 = q
+    return (p0 * q0, p0 * q1 + p1 * q0, p0 * q2 + p1 * q1 + p2 * q0, p1 * q2 + p2 * q1, p2 * q2)
 
 
 def _eval(q: Quadratic, x: float) -> float:
@@ -424,6 +443,68 @@ def _bracketed_root(q: Quadratic, lo: float, hi: float) -> Optional[float]:
     return min(max(root, lo), hi)
 
 
+def _polyval(p: tuple[float, ...], x: float) -> float:
+    """p(x) by Horner's rule, p's coefficients in ascending order."""
+    y = 0.0
+    for c in reversed(p):
+        y = y * x + c
+    return y
+
+
+def _interval_roots(p: tuple[float, ...], lo: float, hi: float) -> list[float]:
+    """Sorted real roots on [lo, hi] of p (ascending coefficients), no numpy.
+
+    Up to degree 2 the roots are _roots'.  Above it, the roots of p' split
+    [lo, hi] into pieces on which p is monotone, found the same way one
+    degree down; a piece whose ends differ in sign holds one root, taken by
+    Newton steps kept inside the piece (a step that leaves it bisects
+    instead) until the step no longer moves x.  An end at which p is exactly
+    0 is a root.  A root of even multiplicity (no sign change) is not
+    reported.  No coefficient is trimmed: a leading coefficient at rounding
+    level only puts roots of p' far outside [lo, hi].
+    """
+    if len(p) <= 3:
+        return sorted(r for r in _roots((*p, 0.0, 0.0)[:3]) if lo <= r <= hi)
+    dp = tuple(k * c for k, c in enumerate(p) if k)
+    cuts = [lo, *_interval_roots(dp, lo, hi), hi]
+    roots: list[float] = []
+    f_right = _polyval(p, lo)
+    for left, right in zip(cuts, cuts[1:]):
+        f_left, f_right = f_right, _polyval(p, right)
+        if f_left == 0.0 and (not roots or roots[-1] < left):
+            roots.append(left)
+        if (f_left < 0.0 < f_right) or (f_right < 0.0 < f_left):
+            roots.append(_monotone_root(p, dp, left, right, f_left))
+    if f_right == 0.0 and (not roots or roots[-1] < hi):
+        roots.append(hi)
+    return roots
+
+
+def _monotone_root(
+    p: tuple[float, ...], dp: tuple[float, ...], a: float, b: float, f_a: float
+) -> float:
+    """The root of p in (a, b), where p is monotone and p(a), p(b) differ in sign."""
+    x = 0.5 * (a + b)
+    for _ in range(100):
+        f = _polyval(p, x)
+        if f == 0.0:
+            return x
+        if (f > 0.0) == (f_a > 0.0):
+            a = x
+        else:
+            b = x
+        slope = _polyval(dp, x)
+        step = x - f / slope if slope != 0.0 else math.nan
+        if step == x:
+            return x
+        if not a < step < b:
+            step = 0.5 * (a + b)
+            if not a < step < b:  # a and b are adjacent floats
+                return x
+        x = step
+    return x
+
+
 def _tie_h(lam: float, v_B: float, low: int, high: int) -> Optional[float]:
     """h at which the level-`high` profit overtakes the level-`low` profit."""
     profits = _profits_at(lam, v_B)
@@ -473,10 +554,6 @@ def _level_boundaries(lam: float, v_B: float) -> tuple[float, float, float]:
     return bounds[0], bounds[1], bounds[2]
 
 
-class _NoTie(Exception):
-    """A two-level tie a three-way tie slides along is absent."""
-
-
 class _StructureConstants(NamedTuple):
     lambda_hat1: Optional[float]
     lambda_hat2: Optional[float]
@@ -491,52 +568,65 @@ def _structure_constants(v_B: float) -> _StructureConstants:
 
     lambda_hat2: at h=1, where the mid-price (level 3) overtakes the
         naive-good price (level 4); a linear root.
-    lambda_hat1: where levels 2, 3, 4 tie three ways -- located by sliding
-        along the level-3/4 tie curve until level 2 stops dominating.
-    lambda_hat3: where levels 1, 2, 3 tie three ways -- same idea on the
-        level-1/2 tie curve.
-    The two three-way ties have no closed form, so an outer bisection runs
-    over the closed-form inner ties, reading the three levels' (A, B)
-    quadratics fetched once per v_B.
+    lambda_hat1: where levels 2, 3, 4 tie three ways, on (eps, lambda_hat2 -
+        eps); absent, like the other thresholds, once lambda_hat2 leaves no
+        such bracket (v_B within about 5e-6 of 1).
+    lambda_hat3: where levels 1, 2, 3 tie three ways, on (eps, 1 - eps).
+    Each three-way tie is a root of one polynomial (see _three_way_tie), and
+    each knee is the h of its tie.
     """
     eps = 1e-6
     polys = _profit_polys(v_B)
     lambda_hat2 = _tie_lambda(1.0, v_B, 3, 4)
-
-    def three_way_tie(low: int, high: int, other: int, bracket) -> Optional[float]:
-        """lambda where level `other` meets the low/high tie; None once that
-        tie leaves h in (0.5, 1] (v_B within two ulps of 1)."""
-        (a_low, b_low), (a_high, b_high), (a_other, b_other) = (
-            polys[low - 1], polys[high - 1], polys[other - 1]
-        )
-
-        def excess(lam: float) -> float:
-            # _tie_h's root, then each level's A(t) + lam * B(t) there, read
-            # off the three hoisted rungs with the same float operations.
-            q = _sub(_at_lambda(a_low, b_low, lam), _at_lambda(a_high, b_high, lam))
-            t = _bracketed_root(q, 0.0, 0.5)
-            if t is None:
-                raise _NoTie
-            x = (0.5 + t) - 0.5  # the h _tie_h returns, back in t = h - 0.5
-            return (_eval(a_low, x) + lam * _eval(b_low, x)) - (
-                _eval(a_other, x) + lam * _eval(b_other, x)
-            )
-
-        try:
-            return bisect_threshold(excess, bracket)
-        except _NoTie:
-            return None
-
-    lambda_hat1 = None
-    # Absent, like the other thresholds, once lambda_hat2 leaves no bracket
-    # (v_B within about 5e-6 of 1).
+    tie1 = None
     if lambda_hat2 is not None and eps < lambda_hat2 - eps:
-        lambda_hat1 = three_way_tie(3, 4, 2, (eps, lambda_hat2 - eps))
-    lambda_hat3 = three_way_tie(1, 2, 3, (eps, 1.0 - eps))
-
-    h_knee1 = _tie_h(lambda_hat3, v_B, 1, 2) if lambda_hat3 is not None else None
-    h_knee2 = _tie_h(lambda_hat1, v_B, 3, 4) if lambda_hat1 is not None else None
+        tie1 = _three_way_tie(polys, 3, 4, 2, eps, lambda_hat2 - eps)
+    tie3 = _three_way_tie(polys, 1, 2, 3, eps, 1.0 - eps)
+    lambda_hat1, h_knee2 = tie1 if tie1 is not None else (None, None)
+    lambda_hat3, h_knee1 = tie3 if tie3 is not None else (None, None)
     return _StructureConstants(lambda_hat1, lambda_hat2, lambda_hat3, h_knee1, h_knee2)
+
+
+def _three_way_tie(
+    polys: tuple[tuple[Quadratic, Quadratic], ...],
+    low: int,
+    high: int,
+    other: int,
+    lam_lo: float,
+    lam_hi: float,
+) -> Optional[tuple[float, float]]:
+    """(lambda, h) where levels low, high and other tie, lambda in [lam_lo, lam_hi].
+
+    With (a1, b1) = P_low - P_high and (a2, b2) = P_low - P_other, both ties
+    hold where a1(t) + lam * b1(t) = 0 = a2(t) + lam * b2(t).  Eliminating
+    lam leaves R(t) = a2 b1 - a1 b2 = 0, a quartic in t = h - 0.5, with
+    lam = -a1(t) / b1(t) = -a2(t) / b2(t).  Every root of R in (0, 0.5)
+    whose lam lies in the bracket is a three-way tie; if several do, the
+    smallest lam is taken.  None when there is none.
+    """
+    (a_low, b_low), (a_high, b_high), (a_other, b_other) = (
+        polys[low - 1], polys[high - 1], polys[other - 1]
+    )
+    a1, b1 = _sub(a_low, a_high), _sub(b_low, b_high)
+    a2, b2 = _sub(a_low, a_other), _sub(b_low, b_other)
+    r = tuple(x - y for x, y in zip(_mul(a2, b1), _mul(a1, b2)))
+    best = None
+    for t in _interval_roots(r, 0.0, 0.5):
+        if not 0.0 < t < 0.5:
+            continue
+        # Divide by the larger slope in lam, where an error in t moves lam
+        # least.  Close to v_B = 1, a1 and b1 both shrink toward rounding
+        # noise near h = 1: at v_B = 1 - 1e-6, -a1/b1 is 2e-10 off, and
+        # within about 3e-10 of 1 R has roots there whose -a1/b1 is noise
+        # but whose -a2/b2 lies above the bracket.
+        slope1, slope2 = _eval(b1, t), _eval(b2, t)
+        a, slope = (a1, slope1) if abs(slope1) >= abs(slope2) else (a2, slope2)
+        if slope == 0.0:
+            continue
+        lam = -_eval(a, t) / slope
+        if lam_lo <= lam <= lam_hi and (best is None or lam < best[0]):
+            best = (lam, 0.5 + t)
+    return best
 
 
 def _lambda_bar(h: float, v_B: float, consts: _StructureConstants) -> Optional[float]:

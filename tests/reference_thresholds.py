@@ -1,13 +1,15 @@
 """Reference threshold engine: one boundary search per level, ties rebuilt per step.
 
 This is the body `splab.equilibrium.thresholds` had before it read h_hat1,
-h_star and the level-3 boundary off one level map and hoisted the three
-rungs of each three-way tie.  Each `level_boundary` call sorts the roots of
+h_star and the level-3 boundary off one level map and took each three-way
+tie as one polynomial root.  Each `level_boundary` call sorts the roots of
 its own cross pairs P_i - P_j (i <= max_level < j) and tests each piece's
 midpoint; each bisection step of `three_way_tie` rebuilds all five levels'
-quadratics through `_tie_h`.  `thresholds()` must equal it bit for bit
-(`tests/test_threshold_map.py`).  The helpers both share (`_profit_polys`,
-`_roots`, `_tie_h`, `_with_existence`, `_lambda_bar`, ...) are imported.
+quadratics through `_tie_h`.  `thresholds()` must equal it bit for bit in
+every field but lambda_hat1 and lambda_hat3, which must agree within the
+bisection's tolerance (`tests/test_threshold_map.py`).  The helpers both
+share (`_profit_polys`, `_roots`, `_tie_h`, `_with_existence`,
+`_lambda_bar`, ...) are imported.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Optional
 from splab import ModelParams, ThresholdSet
 from splab.equilibrium import (
     _V_BAR,
-    _NoTie,
     _StructureConstants,
     _argmax_level,
     _eval,
@@ -34,6 +35,10 @@ from splab.equilibrium import (
     _with_existence,
 )
 from splab.oracle import bisect_threshold
+
+
+class _NoTie(Exception):
+    """The two-level tie a three-way tie slides along is absent."""
 
 
 def poly_profit_G(h: float, lam: float, v_B: float, level: int) -> float:

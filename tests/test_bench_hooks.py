@@ -5,11 +5,12 @@ the candidate argmax, the extension aliases, the ladder build, ...).  A
 refactor that deletes or renames one of them, or that stops calling
 `cli.classify_equilibrium` once per grid point (the traced run tallies the
 region kinds there), would otherwise fail only in traced benchmark runs.
-Likewise a three-way tie that stops calling `bisect_threshold` through the
-module global, or a `_structure_constants` that is no longer the cached
-function, would zero the traced `threshold-table` counters silently, and a
-`grid_argmax` that stops calling `_grid_prices` through the module global
-would zero the traced `oracle-audit` candidate count.
+Likewise a `_structure_constants` that is no longer the cached function
+would zero the traced `threshold-table` cache counters silently, a
+bisection that stops going through the `bisect_threshold` module global
+would zero the traced bisection counters, and a `grid_argmax` that stops
+calling `_grid_prices` through the module global would zero the traced
+`oracle-audit` candidate count.  `thresholds()` itself no longer bisects.
 """
 
 from __future__ import annotations
@@ -82,11 +83,15 @@ def test_trace_counts_threshold_bisection(monkeypatch):
     try:
         # A v_B no other test uses, so the structure constants are cold.
         equilibrium.thresholds(ModelParams(h=0.7, lam=0.3, v_B=0.2718281828459045))
+        cold = tracer.counts["oracle.bisect_evals"]
+        # hstar_prior still bisects through the module global.
+        equilibrium.hstar_prior(0.1, 0.4)
     finally:
         tracer.active = False
         tracer.uninstall()
+    assert cold == 0
+    assert equilibrium._structure_constants.cache_info().misses == misses + 1
     assert tracer.counts["oracle.bisect_evals"] > 0
-    assert equilibrium._structure_constants.cache_info().misses > misses
 
 
 def test_trace_counts_grid_candidates(monkeypatch):

@@ -372,7 +372,9 @@ class TestVerify:
         assert lines(out, False) == lines(golden, False)
         assert len(lines(golden, False)) == 3
 
-    @pytest.mark.parametrize("name", ["h_underline", "h_overline", "lambda_hat2"])
+    @pytest.mark.parametrize(
+        "name", ["h_underline", "h_overline", "lambda_hat1", "lambda_hat2", "lambda_hat3"]
+    )
     def test_threshold_check_fails_on_a_moved_closed_form(self, capsys, monkeypatch, name):
         monkeypatch.setattr(splab.cli, "thresholds", _moved(splab.cli.thresholds, name))
         code, out = run(capsys, "verify", "--seed", "0", "--draws", "20000")

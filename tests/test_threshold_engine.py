@@ -1,8 +1,9 @@
 """The closed-form threshold engine against the bisection reference.
 
-`thresholds()` takes every tie from an exact quadratic or linear root of the
-levels' profit polynomials; `bisection_thresholds` finds the same numbers by
-bisection on the ladder.  Fields must agree within 1e-9 with the same None
+`thresholds()` takes every tie from an exact root of the levels' profit
+polynomials (quadratic or linear for two levels, a quartic for the three-way
+ties); `bisection_thresholds` finds the same numbers by bisection on the
+ladder.  Fields must agree within 1e-9 with the same None
 pattern, and the ties the engine reports must hold on the ladder itself.
 `gamma_switch`'s radical is checked the same way against bisection on its
 defining difference.
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bisection_thresholds as reference
+import reference_thresholds
 from splab import ModelParams, build_wtp_schedule, gamma_switch, thresholds
 from splab.cli import main
-from splab.equilibrium import _bracketed_root, _eval, _roots
+from splab.equilibrium import _bracketed_root, _eval, _interval_roots, _roots
 from splab.oracle import bisect_threshold
 
 FIELDS = (
@@ -103,6 +105,83 @@ def test_roots_are_cancellation_free():
     root = min(_roots(q), key=abs)
     assert root == pytest.approx(0.3, rel=1e-15)
     assert abs(_eval(q, root)) <= 1e-16
+
+
+def _from_roots(roots: list[float], scale: float) -> list[float]:
+    """scale * prod(t - r), ascending coefficients, multiplied out in floats."""
+    p = [scale]
+    for r in roots:
+        p = [a - r * b for a, b in zip([0.0, *p], [*p, 0.0])]
+    return p
+
+
+def _spaced(roots: list[float]) -> bool:
+    return all(b - a >= 1e-6 for a, b in zip(roots, roots[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    roots=st.lists(
+        st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+        min_size=1, max_size=4, unique=True,
+    ).map(sorted).filter(_spaced),
+    scale=st.floats(min_value=1e-3, max_value=1e3),
+    sign=st.sampled_from((1.0, -1.0)),
+    lead=st.just(None),
+)
+@example(roots=[0.1, 0.3], scale=1.0, sign=1.0, lead=0.0)
+@example(roots=[0.2, 0.2000015, 0.4], scale=1.0, sign=-1.0, lead=0.0)
+@example(roots=[0.1, 0.3, 0.45], scale=1e-3, sign=1.0, lead=1e-17)
+@example(roots=[0.05, 0.3, 0.45], scale=1e3, sign=-1.0, lead=-1e-17)
+@example(roots=[0.0, 0.25], scale=2.0, sign=1.0, lead=None)
+@example(roots=[0.125, 0.5], scale=4.0, sign=-1.0, lead=0.0)
+@example(roots=[0.0, 0.25, 0.5], scale=1.0, sign=1.0, lead=None)
+def test_interval_roots_finds_every_root(roots, scale, sign, lead):
+    """Each root in [0, 0.5] within 1e-12, plus as far as rounding the
+    coefficients can move it, and nothing outside [0, 0.5].
+
+    A leading coefficient of 0 or at rounding level (`lead`, one degree up)
+    must not disturb the roots.  The rounding allowance is 8 eps sum|c_k| r^k
+    (plus |lead| r^(n+1)) over |p'(r)|: roots 1e-6 apart are pinned by float
+    coefficients only to about 1e-10, and a root that allowance cannot tell
+    from a neighbour or from outside the interval is not required.  A root
+    at an end where p is exactly 0 is required exactly.
+    """
+    p = _from_roots(roots, sign * scale)
+    extra = 0.0
+    if lead is not None:
+        extra = abs(lead) * max(roots) ** len(p)
+        p.append(lead)
+    found = _interval_roots(tuple(p), 0.0, 0.5)
+    assert found == sorted(found)
+    assert all(0.0 <= x <= 0.5 for x in found), found
+    assert len(found) <= len(roots)
+    for r in roots:
+        if r in (0.0, 0.5):
+            assert r in found, (r, found)
+            continue
+        slope = scale * math.prod(abs(r - s) for s in roots if s != r)
+        noise = 2.0**-52 * sum(abs(c) * r**k for k, c in enumerate(p)) + extra
+        tol = 1e-12 + 8.0 * noise / slope
+        apart = min([abs(r - s) for s in roots if s != r] + [r, 0.5 - r])
+        if tol < apart / 4:
+            assert min(abs(x - r) for x in found) <= tol, (r, found, tol)
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 8, 21])
+def test_no_three_way_tie_in_the_last_ulps_below_one(k):
+    """At v_B = 1 - k 2**-53 the three-way ties are absent, as when bisected.
+
+    k = 1, 2: the level-1/2 tie leaves h in [0.5, 1].  k = 6, 8, 21: the
+    level-1/2 difference is rounding noise near h = 1, where the tie
+    quartic has roots whose lam read off the level-1/2 tie lands in the
+    bracket, although P1 - P3 keeps its sign along that tie.
+    """
+    v_B = 1.0 - k * 2.0**-53
+    ts = thresholds(ModelParams(h=0.7, lam=0.3, v_B=v_B))
+    assert ts.lambda_hat1 is None and ts.lambda_hat3 is None
+    want = reference_thresholds.structure_constants(v_B)
+    assert want.lambda_hat1 is None and want.lambda_hat3 is None
 
 
 def test_lambda_hat1_absent_when_lambda_hat2_leaves_no_bracket():
