@@ -8,11 +8,14 @@ rather than tautology.
 
 The enumeration sums the cells once per call into a step table: the
 sorted distinct WTPs and the demand on each step between them.  Prices
-are looked up in that table.  The grid argmax scores every point of a
-cached uniform mesh against it in one numpy pass, then the at most nine
-candidate prices in range (the distinct WTPs and v_B) one by one as
-Python floats, each on the step that `bisect_left` finds, which is the
-step and the IEEE product the mesh pass would give it.
+are looked up in that table.  The grid argmax splits a cached uniform
+mesh into runs, one per step.  On a run the demand is one number s >= 0
+and IEEE rounding of p * s is monotone in p, so only each run's last
+mesh price is scored; a bisection inside the winning run then finds the
+first mesh price that rounds to the same profit.  The at most nine
+candidate prices in range (the distinct WTPs and v_B) are scored one by
+one as Python floats, each on the step that `bisect_left` finds, which
+is the step and the IEEE product a mesh price there would get.
 """
 
 from __future__ import annotations
@@ -149,20 +152,30 @@ def _first_max(prices: np.ndarray, wtps: np.ndarray, steps: np.ndarray) -> tuple
     """Lowest of the ascending `prices` that earns the most, and that profit.
 
     The prices at or below wtps[0] lie on step 0, those in (wtps[0],
-    wtps[1]] on step 1, and so on, so each run of prices is multiplied by
-    its step's demand straight into one profits array instead of being
-    looked up price by price.
+    wtps[1]] on step 1, and so on, up to the run above the top WTP.  On a
+    run every price sells the same demand s >= 0, and IEEE rounding of
+    p * s is monotone in p, so the run earns its most at its last price.
+    Only those last prices (at most nine) are scored; the earliest run with
+    the strict maximum wins, as an argmax over every price would pick it.
+    Rounding can tie several prices at the end of that run, so a bisection
+    then finds the first price on it whose product equals the maximum.
     """
-    ends = np.searchsorted(prices, wtps, side="right")
-    profits = np.empty_like(prices)
-    start = 0
-    for end, step in zip(ends.tolist(), steps.tolist()):
-        np.multiply(prices[start:end], step, out=profits[start:end])
-        start = end
-    # steps has one entry more than wtps: the demand above the top WTP.
-    np.multiply(prices[start:], steps[-1], out=profits[start:])
-    i = int(np.argmax(profits))
-    return float(prices[i]), float(profits[i])
+    ends = np.searchsorted(prices, wtps, side="right").tolist()
+    ends.append(len(prices))  # steps has one entry more than wtps
+    runs = [
+        (start, end, step)
+        for start, end, step in zip([0, *ends], ends, steps.tolist())
+        if start < end
+    ]
+
+    def last_profit(run: tuple[int, int, float]) -> float:
+        return float(prices[run[1] - 1]) * run[2]
+
+    # max returns the first of several maximal runs.
+    start, end, step = best = max(runs, key=last_profit)
+    profit = last_profit(best)
+    i = bisect_left(prices, profit, start, end - 1, key=lambda price: float(price) * step)
+    return float(prices[i]), profit
 
 
 _DEFAULT_GRID = GridSpec()
@@ -173,7 +186,8 @@ def grid_argmax(
 ) -> tuple[float, float]:
     """Profit-maximizing price over the grid and the profit it earns.
 
-    Every mesh point is scored, and so is every candidate price in range;
+    The mesh's first maximum is found as if every mesh point were scored
+    (see `_first_max`), and every candidate price in range is scored too;
     ties break toward the lower price.
     """
     if grid is None:

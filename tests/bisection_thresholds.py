@@ -73,7 +73,7 @@ def structure_constants(v_B: float) -> tuple:
         return level_profit_G(t, lam, v_B, 1) - level_profit_G(t, lam, v_B, 3)
 
     lambda_hat1 = None
-    if lambda_hat2 is not None:
+    if lambda_hat2 is not None and eps < lambda_hat2 - eps:
         lambda_hat1 = bisect_threshold(excess_2_over_34, (eps, lambda_hat2 - eps))
     lambda_hat3 = bisect_threshold(excess_1_over_3_at_12, (eps, 1.0 - eps))
     h_knee1 = tie_h(lambda_hat3, v_B, 1, 2) if lambda_hat3 is not None else None

@@ -203,12 +203,31 @@ class TestGridArgmax:
     @example(params=ModelParams(h=0.8, lam=0.5, v_B=0.1), grid=GridSpec(0.999, 1.0, 3))
     # price_min on a WTP: 0.55 is the worked example's candidate price.
     @example(params=ModelParams(h=0.7, lam=1.0, v_B=0.1), grid=GridSpec(0.55, 1.0, 46))
+    # Rounding ties several mesh prices at the end of one demand step: the
+    # first maximum for Q = B is 0.5499999999999999, not the step's last 0.55.
+    @example(
+        params=ModelParams(h=0.8, lam=0.5, v_B=0.1), grid=GridSpec(0.549999999999999, 0.55, 50)
+    )
     def test_equals_union_grid_reference(self, params, grid):
         # repr, not ==, so a -0.0 price or profit cannot pass for 0.0.
         for quality in Quality:
             assert repr(grid_argmax(params, quality, grid)) == repr(
                 reference.grid_argmax(params, quality, grid)
             )
+
+    def test_default_grid_allocates_no_mesh_sized_buffer(self):
+        # numpy reports its buffers to tracemalloc; scoring the whole mesh
+        # would hold 800 KB of profits.
+        params = ModelParams(h=0.8, lam=0.5, v_B=0.1)
+        oracle._mesh(GridSpec())  # build the cached mesh outside the measurement
+        tracemalloc.start()
+        try:
+            for quality in Quality:
+                grid_argmax(params, quality)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
 
 
 class TestSimulation:

@@ -20,7 +20,13 @@ import bisection_thresholds as reference
 import reference_thresholds
 from splab import ModelParams, build_wtp_schedule, gamma_switch, thresholds
 from splab.cli import main
-from splab.equilibrium import _bracketed_root, _eval, _interval_roots, _roots
+from splab.equilibrium import (
+    _bracketed_root,
+    _eval,
+    _interval_roots,
+    _roots,
+    _structure_constants,
+)
 from splab.oracle import bisect_threshold
 
 FIELDS = (
@@ -189,6 +195,14 @@ def test_lambda_hat1_absent_when_lambda_hat2_leaves_no_bracket():
     ts = thresholds(ModelParams(h=0.7, lam=0.3, v_B=0.9999999))
     assert ts.lambda_hat1 is None
     assert 0.0 < ts.lambda_hat2 < 2e-6
+
+
+def test_bisection_referee_reports_lambda_hat1_absent_below_one():
+    # lambda_hat2 - eps < eps: the referee skips lambda_hat1's bracket.
+    v_B = 1.0 - 2.0**-53
+    want = (None, 0.0, None, None, None)
+    assert reference.structure_constants(v_B) == want
+    assert tuple(_structure_constants(v_B)) == want
 
 
 #: v_B over [0, 1), half the draws among the last 2**20 floats below 1, where
