@@ -6,9 +6,12 @@ cells straight from the model primitives, and by Monte-Carlo sampling of
 individual consumers, so agreement with the analytic solver is evidence
 rather than tautology.
 
-The enumeration sums the cells once per call into a step table: the
-sorted distinct WTPs and the demand on each step between them.  Prices
-are looked up in that table.  The grid argmax splits a cached uniform
+The cells are summed once per parameter point into a cached table: the
+eight cells' WTPs (the same under either quality), the sorted distinct
+WTPs, and the demand on each step between them under G and under B.
+`grid_argmax` for both qualities, `demand_by_enumeration`,
+`simulate_market` and `check_no_separation` all read that one table, and
+prices are looked up in its steps.  The grid argmax splits a cached uniform
 mesh into runs, one per step.  On a run the demand is one number s >= 0
 and IEEE rounding of p * s is monotone in p, so only each run's last
 mesh price is scored; a bisection inside the winning run then finds the
@@ -24,22 +27,126 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .model import (
     L,
-    SIGNALS,
-    ConsumerType,
     ModelParams,
     ParameterError,
     Quality,
     Record,
-    posterior_with_prior,
-    signal_distribution,
+    _bayes,
+    w_bar,
     wtp_from_posterior,
 )
+
+
+class _CellTable(NamedTuple):
+    """One parameter point's eight cells and its demand steps under G and B.
+
+    A cell is one consumer type paired with one signal, naive then
+    sophisticated, each over SIGNALS (good-high, bad-high, good-low,
+    bad-low).  wtps holds the cells' WTPs in that order; they do not depend
+    on quality.  masses[i] holds the cells' probabilities, the type share
+    times Pr(signal | Q), under Q = G (i = 0) or B (i = 1).  levels are the
+    sorted distinct WTPs, also as level_array.  steps[i][j] is the demand
+    under that quality at every price in (levels[j-1], levels[j]], and the
+    last entry, 0.0, the demand above the top WTP; step_arrays[i] holds the
+    same floats.  A cached table is shared by every caller, so it holds
+    tuples and read-only arrays.
+    """
+
+    wtps: tuple[float, ...]
+    masses: tuple[tuple[float, ...], tuple[float, ...]]
+    levels: tuple[float, ...]
+    level_array: np.ndarray
+    steps: tuple[tuple[float, ...], tuple[float, ...]]
+    step_arrays: tuple[np.ndarray, np.ndarray]
+
+
+def _read_only(values: Sequence[float]) -> np.ndarray:
+    array = np.array(values)
+    array.flags.writeable = False
+    return array
+
+
+def _build_table(params: ModelParams) -> _CellTable:
+    """The cell table of `params`, straight from the model primitives.
+
+    Each of the six distinct posteriors (naive after good and bad news,
+    sophisticated after each signal) is `_bayes` on that signal's
+    likelihoods and its WTP `wtp_from_posterior`, and each Pr(signal | Q)
+    is `signal_distribution`'s product, so every float is the one those
+    functions give.  Each step adds the masses of the cells that cover it
+    in cell order, the float that summing the eight cells one by one at
+    such a price gives (an explicit loop: `sum` compensates its rounding
+    from Python 3.12).
+    """
+    h, lam, gamma, mu0 = params.h, params.lam, params.gamma, params.mu0
+    wb = w_bar(params)
+    naive_good = wtp_from_posterior(_bayes(mu0, wb, 1.0 - wb), params)
+    naive_bad = wtp_from_posterior(_bayes(mu0, 1.0 - wb, wb), params)
+    wtps = (
+        naive_good,
+        naive_bad,
+        naive_good,
+        naive_bad,
+        wtp_from_posterior(_bayes(mu0, h, 1.0 - h), params),
+        wtp_from_posterior(_bayes(mu0, 1.0 - h, h), params),
+        wtp_from_posterior(_bayes(mu0, L, 1.0 - L), params),
+        wtp_from_posterior(_bayes(mu0, 1.0 - L, L), params),
+    )
+    # Pr(signal | Q): the precision's probability times the chance that the
+    # valence matches quality (w) or not (1 - w).
+    high, low = gamma, 1.0 - gamma
+    given_G = (high * h, high * (1.0 - h), low * L, low * (1.0 - L))
+    given_B = (high * (1.0 - h), high * h, low * (1.0 - L), low * L)
+    shares = (1.0 - lam, lam)  # naive, sophisticated
+    masses_G = tuple([share * pr for share in shares for pr in given_G])
+    masses_B = tuple([share * pr for share in shares for pr in given_B])
+
+    levels = tuple(sorted(set(wtps)))
+    steps_G, steps_B = [], []
+    for level in levels:
+        total_G = total_B = 0.0
+        for wtp, mass_G, mass_B in zip(wtps, masses_G, masses_B):
+            if level <= wtp:
+                total_G += mass_G
+                total_B += mass_B
+        steps_G.append(total_G)
+        steps_B.append(total_B)
+    steps_G.append(0.0)
+    steps_B.append(0.0)
+    return _CellTable(
+        wtps=wtps,
+        masses=(masses_G, masses_B),
+        levels=levels,
+        level_array=_read_only(levels),
+        steps=(tuple(steps_G), tuple(steps_B)),
+        step_arrays=(_read_only(steps_G), _read_only(steps_B)),
+    )
+
+
+# One table per parameter point, shared by grid_argmax for both qualities,
+# demand_by_enumeration, simulate_market and check_no_separation.
+# ModelParams equates 0.0 and -0.0, so signed-zero twins share an entry,
+# whose zero masses and zero WTPs carry the signs of the twin that filled
+# it.  Those readers cannot show them: steps add masses to a 0.0 start,
+# WTPs are compared, and a zero candidate price in grid_argmax is in range
+# only when the mesh starts at a zero, which it ties and so never displaces.
+# consumer_cells, which hands the cells out raw, builds its own table.
+_cell_table = lru_cache(maxsize=32)(_build_table)
+
+
+def _quality_index(quality: Quality) -> int:
+    """0 for Q = G and 1 for Q = B, the index into a table's per-quality fields."""
+    if quality is Quality.G:
+        return 0
+    if quality is Quality.B:
+        return 1
+    raise ParameterError(f"quality must be a Quality, got {quality!r}")
 
 
 def consumer_cells(params: ModelParams, quality: Quality) -> list[tuple[float, float]]:
@@ -48,38 +155,11 @@ def consumer_cells(params: ModelParams, quality: Quality) -> list[tuple[float, f
     A cell is one consumer type paired with one signal; its probability is
     the type share times Pr(signal | quality), and its WTP follows from that
     type's posterior.  This is the raw object every oracle computation sums
-    over.
+    over, read from a table built for `params` itself.
     """
-    dist = signal_distribution(params, quality)
-    cells: list[tuple[float, float]] = []
-    for consumer in (ConsumerType.NAIVE, ConsumerType.SOPHISTICATED):
-        share = params.lam if consumer is ConsumerType.SOPHISTICATED else 1.0 - params.lam
-        for signal in SIGNALS:
-            mu = posterior_with_prior(params, consumer, signal)
-            cells.append((share * dist[signal], wtp_from_posterior(mu, params)))
-    return cells
-
-
-def _demand_steps(params: ModelParams, quality: Quality) -> tuple[np.ndarray, np.ndarray]:
-    """Demand as a step function: the sorted distinct WTPs and each step's demand.
-
-    steps[j] is the demand at every price in (wtps[j-1], wtps[j]], and the
-    last entry, 0.0, the demand above the top WTP.  Each step adds the
-    probabilities of the cells that cover it in cell order, so it is the
-    float that summing the eight cells one by one at such a price gives
-    (an explicit loop: `sum` compensates its rounding from Python 3.12).
-    """
-    cells = consumer_cells(params, quality)
-    wtps = sorted({wtp for _, wtp in cells})
-    steps = []
-    for step_wtp in wtps:
-        total = 0.0
-        for prob, wtp in cells:
-            if step_wtp <= wtp:
-                total += prob
-        steps.append(total)
-    steps.append(0.0)
-    return np.array(wtps), np.array(steps)
+    i = _quality_index(quality)
+    table = _build_table(params)
+    return list(zip(table.masses[i], table.wtps))
 
 
 def demand_by_enumeration(params: ModelParams, quality: Quality, price):
@@ -92,8 +172,9 @@ def demand_by_enumeration(params: ModelParams, quality: Quality, price):
     prices = np.asarray(price, dtype=float)
     if not np.all((prices >= 0.0) & (prices <= 1.0)):
         raise ParameterError("price must lie in [0, 1]")
-    wtps, steps = _demand_steps(params, quality)
-    total = steps[np.searchsorted(wtps, prices, side="left")]
+    i = _quality_index(quality)
+    table = _cell_table(params)
+    total = table.step_arrays[i][np.searchsorted(table.level_array, prices, side="left")]
     if np.ndim(price) == 0:
         return float(total)
     return total
@@ -141,7 +222,7 @@ def _mesh(grid: GridSpec) -> np.ndarray:
     return mesh
 
 
-def _grid_prices(wtps: list[float], v_B: float, grid: GridSpec) -> list[float]:
+def _grid_prices(wtps: Sequence[float], v_B: float, grid: GridSpec) -> list[float]:
     """The candidate prices (distinct WTPs and v_B) inside the grid's range, ascending."""
     return sorted(
         price for price in {*wtps, v_B} if grid.price_min <= price <= grid.price_max
@@ -192,12 +273,13 @@ def grid_argmax(
     """
     if grid is None:
         grid = _DEFAULT_GRID
-    wtps, steps = _demand_steps(params, quality)
-    best_price, best_profit = _first_max(_mesh(grid), wtps, steps)
-    wtp_list, step_list = wtps.tolist(), steps.tolist()
-    for price in _grid_prices(wtp_list, params.v_B, grid):
-        # The step searchsorted(wtps, price, side="left") picks.
-        profit = price * step_list[bisect_left(wtp_list, price)]
+    i = _quality_index(quality)
+    table = _cell_table(params)
+    best_price, best_profit = _first_max(_mesh(grid), table.level_array, table.step_arrays[i])
+    levels, steps = table.levels, table.steps[i]
+    for price in _grid_prices(levels, params.v_B, grid):
+        # The step searchsorted(level_array, price, side="left") picks.
+        profit = price * steps[bisect_left(levels, price)]
         if profit > best_profit or (profit == best_profit and price < best_price):
             best_price, best_profit = price, profit
     return best_price, best_profit
@@ -253,8 +335,8 @@ def simulate_market(
     # Bit k is set when cell k of the enumeration oracle's table buys: naive
     # then sophisticated, each over SIGNALS (good-high, bad-high, good-low,
     # bad-low), so a draw's cell is soph*4 + low*2 + bad.
-    cells = consumer_cells(params, quality)
-    buyer_bits = np.uint8(sum(1 << k for k, (_, wtp) in enumerate(cells) if wtp >= price))
+    wtps = _cell_table(params).wtps
+    buyer_bits = np.uint8(sum(1 << k for k, wtp in enumerate(wtps) if wtp >= price))
     good = quality is Quality.G
 
     buffer = np.empty((min(_CHUNK, draws), _UNIFORMS_PER_DRAW))
@@ -323,7 +405,9 @@ def check_no_separation(params: ModelParams) -> SeparationReport:
 
     Revealing prices p_G on 101 even steps of (v_B, 1]: the low type's mimic
     profit, from the eight cells with every belief set to 1, must strictly
-    beat v_B.  Revealing prices p_G <= v_B: the high type's best deviation
+    beat v_B.  A belief of 1 is a WTP of V_G = 1 >= p_G, so every cell buys
+    and the mimic sells the low type's whole mass, the first step of its
+    demand.  Revealing prices p_G <= v_B: the high type's best deviation
     under signal-based beliefs (grid_argmax) must strictly beat p_G, and so
     beat v_B, the largest such price.  Separation is ruled out when every
     one of these deviations pays.
@@ -331,11 +415,8 @@ def check_no_separation(params: ModelParams) -> SeparationReport:
     v = params.v_B
     # min: the top price can round one ulp past V_G = 1, where nobody buys.
     prices = tuple(min(v + (1.0 - v) * k / 101, 1.0) for k in range(1, 102))
-    believing = [
-        (prob, wtp_from_posterior(1.0, params))
-        for prob, _ in consumer_cells(params, Quality.B)
-    ]
-    mimic = tuple(p * sum(prob for prob, wtp in believing if p <= wtp) for p in prices)
+    mass = _cell_table(params).steps[_quality_index(Quality.B)][0]
+    mimic = tuple(p * mass for p in prices)
     _, deviation = grid_argmax(params, Quality.G)
     margins = [m - v for m in mimic] + [deviation - v]
     return SeparationReport(

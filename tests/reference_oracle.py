@@ -11,8 +11,15 @@ The simulation draws each batch's (count, 3) uniforms in one array from a
 Philox stream advanced to the batch's start, as before the uniforms were
 streamed through a reused chunk buffer.  It holds 32 MB per 2^20 draws.
 
-Both live in the tests only, where the fast oracle must equal them bit for
-bit.
+The cells are enumerated one consumer type and one signal at a time
+through the model's posterior and signal-distribution functions, as
+before one cached table per parameter point held them.  The no-separation
+witness adds the believing cells' masses with the builtin `sum`, as
+before it read the low type's total mass off that table; up to Python
+3.11 `sum` adds floats one by one, from 3.12 it compensates rounding.
+
+All of these live in the tests only, where the fast oracle must equal them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -21,9 +28,26 @@ import math
 
 import numpy as np
 
-from splab import GridSpec, ModelParams, ParameterError, Quality, SimReport
-from splab.model import L
-from splab.oracle import consumer_cells
+from splab import GridSpec, ModelParams, ParameterError, Quality, SeparationReport, SimReport
+from splab.model import (
+    L,
+    SIGNALS,
+    ConsumerType,
+    posterior_with_prior,
+    signal_distribution,
+    wtp_from_posterior,
+)
+
+
+def consumer_cells(params: ModelParams, quality: Quality) -> list[tuple[float, float]]:
+    dist = signal_distribution(params, quality)
+    cells: list[tuple[float, float]] = []
+    for consumer in (ConsumerType.NAIVE, ConsumerType.SOPHISTICATED):
+        share = params.lam if consumer is ConsumerType.SOPHISTICATED else 1.0 - params.lam
+        for signal in SIGNALS:
+            mu = posterior_with_prior(params, consumer, signal)
+            cells.append((share * dist[signal], wtp_from_posterior(mu, params)))
+    return cells
 
 
 def demand_by_enumeration(params: ModelParams, quality: Quality, price):
@@ -85,3 +109,23 @@ def simulate_market(
     else:
         se = 0.0
     return SimReport(draws, seed, mean, se, price * mean, price * se)
+
+
+def check_no_separation(params: ModelParams) -> SeparationReport:
+    v = params.v_B
+    prices = tuple(min(v + (1.0 - v) * k / 101, 1.0) for k in range(1, 102))
+    believing = [
+        (prob, wtp_from_posterior(1.0, params))
+        for prob, _ in consumer_cells(params, Quality.B)
+    ]
+    mimic = tuple(p * sum(prob for prob, wtp in believing if p <= wtp) for p in prices)
+    _, deviation = grid_argmax(params, Quality.G, GridSpec())
+    margins = [m - v for m in mimic] + [deviation - v]
+    return SeparationReport(
+        v_B=v,
+        prices=prices,
+        mimic_profits=mimic,
+        honest_profit=v,
+        min_margin=min(margins),
+        separation_possible=any(m <= 0.0 for m in margins),
+    )

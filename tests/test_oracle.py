@@ -1,6 +1,7 @@
 """Unit tests for the brute-force oracle: grid argmax, Monte Carlo, bisection."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -76,6 +77,24 @@ def sim_cases(draw):
     return params, price, draws, seed
 
 
+# Points whose fields are signed zeros: ModelParams equates each with its
+# twins, where a zero field has the other sign, so they share one cell table.
+_SIGNED_ZEROS = [
+    ModelParams(h=h, lam=lam, v_B=v_B, mu0=mu0)
+    for h in (0.5, 1.0)
+    for lam in (0.0, -0.0)
+    for v_B in (0.0, -0.0)
+    for mu0 in (0.0, -0.0)
+]
+
+
+def signed_zero_examples(test):
+    """`test` with an @example(params=...) for each point of _SIGNED_ZEROS."""
+    for params in _SIGNED_ZEROS:
+        test = example(params=params)(test)
+    return test
+
+
 # A point off the baseline, and the price of one of its WTPs, for the draw
 # counts around the 2^16-draw chunk and the 2^20-draw Philox batch.
 _EDGE = ModelParams(h=0.8, lam=0.5, v_B=0.1, gamma=0.3, mu0=0.6)
@@ -99,6 +118,60 @@ def test_quality_must_be_a_member(name, quality):
     # anything else for Quality.B.
     with pytest.raises(ParameterError):
         _QUALITY_TAKERS[name](quality)
+
+
+class TestCellTable:
+    @settings(max_examples=200, deadline=None)
+    @given(params=box)
+    @signed_zero_examples
+    def test_consumer_cells_equal_enum_reference(self, params):
+        # repr, not ==, so a -0.0 mass or WTP cannot pass for 0.0.
+        for quality in Quality:
+            assert repr(consumer_cells(params, quality)) == repr(
+                reference.consumer_cells(params, quality)
+            )
+
+    def test_one_table_per_point(self):
+        oracle._cell_table.cache_clear()
+        params = ModelParams(h=0.81, lam=0.37, v_B=0.12)
+        grid_argmax(params, Quality.G)
+        grid_argmax(params, Quality.B)
+        demand_by_enumeration(params, Quality.B, np.array([0.2, 0.5, params.v_B]))
+        simulate_market(params, Quality.G, 0.5, draws=10, seed=0)
+        check_no_separation(params)
+        info = oracle._cell_table.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+
+    @pytest.mark.parametrize("h", [0.5, 1.0])
+    def test_signed_zero_twins_read_a_shared_entry(self, h):
+        # Whichever twin fills the shared entry first, every reader of the
+        # cached table gives each twin exactly what the reference gives it.
+        twins = [params for params in _SIGNED_ZEROS if params.h == h]
+        grids = [GridSpec(), GridSpec(0.0, 0.5, 1001), GridSpec(-0.0, 0.3, 7)]
+        prices = np.array([-0.0, 0.0, 0.25, 0.5, 1.0])
+
+        def outputs(oracle_module, params):
+            out = []
+            for quality in Quality:
+                out += [oracle_module.grid_argmax(params, quality, grid) for grid in grids]
+                out.append(oracle_module.demand_by_enumeration(params, quality, prices).tolist())
+                out += [
+                    oracle_module.simulate_market(params, quality, price, 500, 7).to_json()
+                    for price in (-0.0, 0.0, 0.5)
+                ]
+            out.append(oracle_module.check_no_separation(params).to_json())
+            return repr(out)
+
+        want = [outputs(reference, params) for params in twins]
+        filled = set()
+        for first in twins:
+            oracle._cell_table.cache_clear()
+            filled.add(repr(oracle._cell_table(first)[:3]))
+            for params, expected in zip(twins, want):
+                assert outputs(oracle, params) == expected
+            assert oracle._cell_table.cache_info().misses == 1
+        # The twins do fill the entry with different signs.
+        assert len(filled) > 1
 
 
 class TestEnumeration:
@@ -342,6 +415,17 @@ class TestBisect:
 
 
 class TestNoSeparation:
+    @pytest.mark.skipif(
+        sys.version_info >= (3, 12), reason="the reference's builtin sum compensates from 3.12"
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(params=box)
+    @signed_zero_examples
+    def test_equals_builtin_sum_reference(self, params):
+        assert check_no_separation(params).to_json() == (
+            reference.check_no_separation(params).to_json()
+        )
+
     @settings(max_examples=30, deadline=None)
     @given(h=hs, lam=lams, v=st.floats(0.01, 0.95))
     def test_mimicry_is_always_profitable(self, h, lam, v):
