@@ -93,55 +93,74 @@ class PoolingCandidate(NamedTuple):
 def best_pooling_candidate(params: ModelParams) -> PoolingCandidate:
     """Argmax of the high type's profit over the six candidate prices.
 
-    Candidates are the five WTP rungs plus v_B; see _candidate_scan.  The
+    Candidates are the five WTP rungs plus v_B; see _baseline_set.  The
     argmax is defined whether or not the pooling equilibrium exists, which
     the threshold engine relies on.
     """
-    return _candidate_scan(ladder(params), params.v_B)
+    return _argmax(*_baseline_set(ladder(params), params.v_B))
 
 
-def _candidate_scan(fields: tuple[tuple[float, ...], ...], v: float) -> PoolingCandidate:
-    """best_pooling_candidate on the flat `ladder_fields` tuples at v_B = v.
+def _argmax(prices, cov_G, cov_B, levels) -> PoolingCandidate:
+    """The high type's best candidate: candidate i earns prices[i] * cov_G[i].
 
-    Rung k earns wtp_k * coverage_k; v_B earns the coverage of the lowest
-    rung covering it.  Ties go to the lower price, then the lower level, v_B
-    last.  Only the winner becomes a PoolingCandidate; the WtpLevel/
-    WtpSchedule objects are left to build_wtp_schedule's callers (`verify`,
-    the demos, the library).
+    Ties go to the lower price, then to the earlier candidate.  Only the
+    winner becomes a PoolingCandidate, its profit_B price * cov_B[i].
     """
-    wtps, cov_G, cov_B = fields
-    prices = (*wtps, v)
-    # Each candidate's index into the coverages: v_B's is its covering rung,
-    # or 5 (coverage 0) above the top rung.
-    covering = 0
-    while covering < 5 and v > wtps[covering]:
-        covering += 1
-    rungs = (0, 1, 2, 3, 4, covering)
-    cov_G, cov_B = (*cov_G, 0.0), (*cov_B, 0.0)
     best, best_profit = 0, prices[0] * cov_G[0]
-    for i in range(1, 6):
-        profit = prices[i] * cov_G[rungs[i]]
+    for i in range(1, len(prices)):
+        profit = prices[i] * cov_G[i]
         if profit > best_profit or (profit == best_profit and prices[i] < prices[best]):
             best, best_profit = i, profit
     price = prices[best]
-    level = best + 1 if best < 5 else None
-    return PoolingCandidate(price, level, best_profit, price * cov_B[rungs[best]])
+    return PoolingCandidate(price, levels[best], best_profit, price * cov_B[best])
 
 
-#: best_pooling_candidates' level of each candidate index, v_B's None last.
-_CANDIDATE_LEVELS = np.array([1, 2, 3, 4, 5, None], dtype=object)
+def _argmaxes(prices, cov_G, cov_B, levels) -> tuple[np.ndarray, ...]:
+    """_argmax at many points: the same products and tie-break on np.where.
+
+    The prices are arrays of one shape; a coverage may be a float.  Returns
+    (price, level, profit_G, profit_B), with level an object array, so every
+    field equals the scalar _argmax's bit for bit.
+    """
+    best = np.zeros(prices[0].shape, dtype=np.intp)
+    best_price, best_profit = prices[0], prices[0] * cov_G[0]
+    for i in range(1, len(prices)):
+        profit = prices[i] * cov_G[i]
+        wins = (profit > best_profit) | ((profit == best_profit) & (prices[i] < best_price))
+        best = np.where(wins, i, best)
+        best_price = np.where(wins, prices[i], best_price)
+        best_profit = np.where(wins, profit, best_profit)
+    profit_B = best_price * np.choose(best, cov_B)
+    return best_price, np.array(levels, dtype=object)[best], best_profit, profit_B
+
+
+#: The baseline candidates' levels: the five rungs, then v_B.
+_BASELINE_LEVELS = (1, 2, 3, 4, 5, None)
+
+
+def _baseline_set(fields: tuple[tuple[float, ...], ...], v: float) -> tuple:
+    """The baseline's six candidates on the flat `ladder_fields` tuples at v_B = v.
+
+    Rung k earns wtp_k * coverage_k; v_B earns the coverage of the lowest
+    rung covering it, or 0 above the top rung.  The WtpLevel/WtpSchedule
+    objects are left to build_wtp_schedule's callers (`verify`, the demos,
+    the library).
+    """
+    wtps, cov_G, cov_B = fields
+    covering = 0
+    while covering < 5 and v > wtps[covering]:
+        covering += 1
+    v_cov_G, v_cov_B = (cov_G[covering], cov_B[covering]) if covering < 5 else (0.0, 0.0)
+    return (*wtps, v), (*cov_G, v_cov_G), (*cov_B, v_cov_B), _BASELINE_LEVELS
 
 
 def best_pooling_candidates(h, lam, v_B) -> tuple[np.ndarray, ...]:
     """best_pooling_candidate at many baseline points, as arrays.
 
     h, lam and v_B are float arrays that broadcast together; they are not
-    validated.  Returns (price, level, profit_G, profit_B), one entry per
-    point, with level an object array holding None where v_B wins.  The
-    ladder is `ladder_fields` on the arrays, v_B's coverage is that of the
-    lowest rung covering it, and the six candidates are scanned in the
-    scalar order with its tie-break, so every field equals the scalar
-    argmax's bit for bit.
+    validated.  Returns _argmaxes' (price, level, profit_G, profit_B) over
+    _baseline_set's six candidates, v_B's coverage looked up rung by rung
+    on arrays, so every field equals the scalar argmax's bit for bit.
     """
     h, lam, v_B = np.broadcast_arrays(h, lam, v_B)
     wtps, cov_G, cov_B = ladder_fields(h, lam, v_B)
@@ -150,69 +169,50 @@ def best_pooling_candidates(h, lam, v_B) -> tuple[np.ndarray, ...]:
         covered = v_B <= wtps[k]
         v_cov_G = np.where(covered, cov_G[k], v_cov_G)
         v_cov_B = np.where(covered, cov_B[k], v_cov_B)
-    prices = (*wtps, v_B)
-    best = np.zeros(v_B.shape, dtype=np.intp)
-    best_price, best_profit = prices[0], prices[0] * cov_G[0]
-    for i, coverage in enumerate((*cov_G[1:], v_cov_G), start=1):
-        profit = prices[i] * coverage
-        wins = (profit > best_profit) | ((profit == best_profit) & (prices[i] < best_price))
-        best = np.where(wins, i, best)
-        best_price = np.where(wins, prices[i], best_price)
-        best_profit = np.where(wins, profit, best_profit)
-    profit_B = best_price * np.choose(best, (*cov_B, v_cov_B))
-    return best_price, _CANDIDATE_LEVELS[best], best_profit, profit_B
+    return _argmaxes((*wtps, v_B), (*cov_G, v_cov_G), (*cov_B, v_cov_B), _BASELINE_LEVELS)
 
 
-def _naive_fields(h, v_B, gamma, mu0) -> tuple:
-    """(bad-signal WTP, good-signal WTP, w_bar) of the fully naive market.
+def _naive_set(h, v_B, gamma, mu0) -> tuple:
+    """The fully naive market's two candidates, on floats or numpy arrays.
 
-    w_bar is Pr(good valence | G); Pr(good valence | B) = 1 - w_bar.  The
-    fields may be floats or numpy arrays that broadcast together, as in
+    The bad-signal WTP sells to everyone (level 2), the good-signal WTP to
+    good-signal holders only (level 4): a share w_bar = Pr(good valence | G)
+    under G and 1 - w_bar under B.  v_B is no candidate: in exact arithmetic
+    it never beats the bad-signal WTP.  The fields broadcast together as in
     `demand.ladder_fields`: w_bar is `model.w_bar`'s expression and each WTP
     is `model.posterior_wtp`, so an array element rounds exactly as the
     float call does.  posterior_wtp's zero-denominator guard fires here: at
     h = 1, gamma = 1 - 2**-53 and mu0 = 0, w_bar rounds to 1, the
     good-signal posterior keeps the prior 0 and its WTP is v_B.
+
+    The good-signal WTP wins only when its profit is strictly larger: on an
+    exact tie it would need the lower price, but p_high * w_bar <= p_high
+    for w_bar <= 1.
     """
     wb = gamma * h + (1.0 - gamma) * L
-    return posterior_wtp(mu0, 1.0 - wb, wb, v_B), posterior_wtp(mu0, wb, 1.0 - wb, v_B), wb
+    prices = posterior_wtp(mu0, 1.0 - wb, wb, v_B), posterior_wtp(mu0, wb, 1.0 - wb, v_B)
+    return prices, (1.0, wb), (1.0, 1.0 - wb), (2, 4)
 
 
 def _naive_candidate(params: ModelParams) -> PoolingCandidate:
     """Argmax of the high type's profit in the fully naive market (lam = 0).
 
-    Holds at any gamma, mu0 and v_B.  Only the two naive WTPs can win: the
-    bad-signal WTP (full coverage, level 2) and the good-signal WTP (sold to
-    good-signal holders only, level 4); v_B never beats the bad-signal WTP.
-    Ties break toward the lower price.  At the baseline this agrees with
-    best_pooling_candidate except at h = 0.5, where the five-rung argmax
-    labels the tie level 1, and in the last bit of profit_B.
+    Holds at any gamma, mu0 and v_B; see _naive_set.  At the baseline this
+    agrees with best_pooling_candidate except at h = 0.5, where the
+    five-rung argmax labels the tie level 1, and in the last bit of
+    profit_B.
     """
-    p_low, p_high, wb = _naive_fields(params.h, params.v_B, params.gamma, params.mu0)
-    profit_high = p_high * wb
-    if p_low >= profit_high:
-        return PoolingCandidate(p_low, 2, p_low, p_low)
-    return PoolingCandidate(p_high, 4, profit_high, p_high * (1.0 - wb))
+    return _argmax(*_naive_set(params.h, params.v_B, params.gamma, params.mu0))
 
 
 def naive_candidates(h, v_B, gamma, mu0) -> tuple[np.ndarray, ...]:
     """_naive_candidate at many fully naive points, as arrays.
 
     The fields are float arrays that broadcast together; they are not
-    validated.  Returns (price, level, profit_G, profit_B) like
-    best_pooling_candidates, with the scalar tie-break p_low >= profit_high,
-    so every field equals _naive_candidate's bit for bit.
+    validated.  Returns _argmaxes' (price, level, profit_G, profit_B), so
+    every field equals _naive_candidate's bit for bit.
     """
-    h, v_B, gamma, mu0 = np.broadcast_arrays(h, v_B, gamma, mu0)
-    p_low, p_high, wb = _naive_fields(h, v_B, gamma, mu0)
-    profit_high = p_high * wb
-    low = p_low >= profit_high
-    return (
-        np.where(low, p_low, p_high),
-        _CANDIDATE_LEVELS[np.where(low, 1, 3)],
-        np.where(low, p_low, profit_high),
-        np.where(low, p_low, p_high * (1.0 - wb)),
-    )
+    return _argmaxes(*_naive_set(*np.broadcast_arrays(h, v_B, gamma, mu0)))
 
 
 def pooling_candidates(h, lam, v_B, gamma, mu0) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -349,8 +349,8 @@ def _level_profit_G(h: float, lam: float, v_B: float, level: int) -> float:
 
 def _argmax_level(h: float, lam: float, v_B: float) -> int:
     """best_pooling_candidate's level at a baseline point (v_B counts as 1)."""
-    cand = _candidate_scan(ladder_fields(h, lam, v_B), v_B)
-    return cand.level if cand.level is not None else 1
+    level = _argmax(*_baseline_set(ladder_fields(h, lam, v_B), v_B)).level
+    return level if level is not None else 1
 
 
 @lru_cache(maxsize=256)
@@ -779,7 +779,7 @@ def hstar_prior(v_B: float, mu0: float) -> Optional[float]:
     params = ModelParams(h=0.5, lam=0.0, v_B=v_B, mu0=mu0)
 
     def diff(h: float) -> float:
-        p_low, p_high, wb = _naive_fields(h, params.v_B, params.gamma, params.mu0)
+        (p_low, p_high), (_, wb), _, _ = _naive_set(h, params.v_B, params.gamma, params.mu0)
         return p_high * wb - p_low
 
     return bisect_threshold(diff, (0.5, 1.0))
@@ -803,8 +803,8 @@ def prior_mu_lower(h: float, v_B: float) -> float:
     params = ModelParams(h=h, lam=0.0, v_B=v_B)
 
     def margin(mu0: float) -> float:
-        cand = _naive_candidate(ModelParams(h=params.h, lam=0.0, v_B=params.v_B, mu0=mu0))
-        return cand.profit_B - params.v_B
+        # bisect_threshold passes floats in [0, 1], which ModelParams accepts as is.
+        return _argmax(*_naive_set(params.h, params.v_B, params.gamma, mu0)).profit_B - params.v_B
 
     grid = np.arange(2001) / 2000
     margins = naive_candidates(params.h, params.v_B, params.gamma, grid)[3] - params.v_B
@@ -823,7 +823,7 @@ def prior_mu_lower(h: float, v_B: float) -> float:
 @dataclass(frozen=True)
 class ComparisonReport(Record):
     """Profit comparison between a fully naive and a fully sophisticated
-    market at identical (h, v_B)."""
+    market at identical (h, v_B, gamma, mu0)."""
 
     preferred_by_G: str  # "naive" | "sophisticated" | "equal"
     preferred_by_B: str
@@ -842,14 +842,12 @@ def compare_markets(
             f"sophisticated market (lam=1) second; got lam={params_naive.lam} "
             f"and lam={params_soph.lam}"
         )
-    same = (
-        params_naive.h == params_soph.h
-        and params_naive.v_B == params_soph.v_B
-        and params_naive.gamma == params_soph.gamma
-        and params_naive.mu0 == params_soph.mu0
-    )
-    if not same:
-        raise ParameterError("compare_markets needs identical (h, v_B) across markets")
+    naive_key, soph_key = ((p.h, p.v_B, p.gamma, p.mu0) for p in (params_naive, params_soph))
+    if naive_key != soph_key:
+        raise ParameterError(
+            "compare_markets needs identical (h, v_B, gamma, mu0) across markets; "
+            f"got {naive_key} and {soph_key}"
+        )
 
     naive = solve_pooling(params_naive)
     soph = solve_pooling(params_soph)

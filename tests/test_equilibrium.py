@@ -359,6 +359,13 @@ class TestCompareMarkets:
                 ModelParams(h=0.7, lam=0.3, v_B=0.1),
                 ModelParams(h=0.7, lam=1.0, v_B=0.1),
             )
+        # A prior mismatch alone is refused, and the message names every
+        # compared field.
+        with pytest.raises(ParameterError, match=r"\(h, v_B, gamma, mu0\).*0\.4"):
+            compare_markets(
+                ModelParams(h=0.7, lam=0.0, v_B=0.1, mu0=0.4),
+                ModelParams(h=0.7, lam=1.0, v_B=0.1),
+            )
 
 
 class TestRegionStatics:

@@ -5,9 +5,10 @@ and takes each chunk's candidates in one `pooling_candidates` call: the
 baseline argmax (`best_pooling_candidates`) and the fully naive market's
 (`naive_candidates`).  These tests hold both passes to the scalar
 `best_pooling_candidate` and `_naive_candidate` over the whole parameter
-box, hold the rows to the per-point bodies in `reference_grid.py`, hold the
-CLI bytes to digests recorded before each pass was batched, and bound the
-memory the chunks take.
+box, hold the two scans both passes share (`_argmax` on floats, `_argmaxes`
+on arrays) to each other on crafted candidates, hold the rows to the
+per-point bodies in `reference_grid.py`, hold the CLI bytes to digests
+recorded before each pass was batched, and bound the memory the chunks take.
 """
 
 from __future__ import annotations
@@ -31,13 +32,19 @@ import reference_grid as reference
 import splab.cli as cli
 import splab.equilibrium as equilibrium
 from splab import ModelParams, UnsupportedVariantError, best_pooling_candidate
-from splab.equilibrium import _naive_candidate, best_pooling_candidates, naive_candidates
+from splab.equilibrium import (
+    _argmax,
+    _argmaxes,
+    _naive_candidate,
+    best_pooling_candidates,
+    naive_candidates,
+)
 from splab.model import ParameterError
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "grid_digests.json"
 
 #: The whole box with its edges: h at 1/2 and 1 and one ulp inside each,
-#: lam at +-0, the smallest subnormal and 1, v_B at 0 and one ulp below 1.
+#: lam at +-0, the smallest subnormal and 1, v_B at +-0 and one ulp below 1.
 box_hs = st.one_of(
     st.sampled_from([0.5, 0.5 + 2**-53, 1.0 - 2**-53, 1.0]),
     st.floats(min_value=0.5, max_value=1.0),
@@ -46,7 +53,7 @@ box_lams = st.one_of(
     st.sampled_from([0.0, -0.0, 2**-1074, 1.0]), st.floats(min_value=0.0, max_value=1.0)
 )
 box_vbs = st.one_of(
-    st.sampled_from([0.0, 0.22, 1.0 - 2**-53]),
+    st.sampled_from([0.0, -0.0, 0.22, 1.0 - 2**-53]),
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
 )
 
@@ -63,6 +70,7 @@ class TestBatchedCandidates:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(box_hs, box_lams, box_vbs), min_size=1, max_size=40))
     @example([(0.5, 0.3, 0.1), (1.0, -0.0, 0.0), (1.0 - 2**-53, 2**-1074, 1.0 - 2**-53)])
+    @example([(0.5, -0.0, -0.0), (0.7, -0.0, -0.0), (1.0, -0.0, -0.0)])
     def test_equals_scalar_argmax_field_by_field(self, points):
         h, lam, v_B = (np.array(column) for column in zip(*points))
         fields = [array.tolist() for array in best_pooling_candidates(h, lam, v_B)]
@@ -98,6 +106,65 @@ class TestBatchedCandidates:
         assert price.shape == level.shape == profit_G.shape == profit_B.shape == (3,)
 
 
+#: Crafted candidate lists, each with the index that must win.  Every
+#: product is exact, so each tie below is a true tie.
+NAIVE_LEVELS, BASELINE_LEVELS = (2, 4), (1, 2, 3, 4, 5, None)
+CRAFTED_CANDIDATES = {
+    "later_lower_price_wins_tie": (
+        ((0.5, 0.25), (0.5, 1.0), (0.5, 0.75), NAIVE_LEVELS), 1
+    ),
+    "equal_price_and_profit_keeps_earlier": (
+        ((0.5, 0.5), (0.5, 0.5), (0.25, 0.75), NAIVE_LEVELS), 0
+    ),
+    "zero_coverage_loses_to_positive_profit": (
+        ((0.25, 0.75), (1.0, 0.0), (1.0, 0.0), NAIVE_LEVELS), 0
+    ),
+    "zero_coverage_tie_goes_to_lower_price": (
+        ((0.75, 0.25), (0.0, 0.0), (0.5, 0.0), NAIVE_LEVELS), 1
+    ),
+    # -0.0 * 1.0 ties 0.5 * 0.0 at the lower price, so its sign shows, as
+    # the kept first candidate's does when the tie is at a higher price.
+    "signed_zero_profit_wins": (((0.5, -0.0), (0.0, 1.0), (0.0, 1.0), NAIVE_LEVELS), 1),
+    "signed_zero_profit_kept": (((-0.0, 0.5), (1.0, 0.0), (1.0, 0.0), NAIVE_LEVELS), 0),
+    # Level 4 ties level 1 at a higher price and level 3 ties it at an equal
+    # one; v_B ties it at a lower one and wins.
+    "six_ties_resolved_by_price_then_order": (
+        (
+            (0.5, 0.75, 0.5, 1.0, 0.75, 0.25),
+            (0.5, 0.25, 0.5, 0.25, 0.25, 1.0),
+            (0.5, 0.75, 0.5, 0.75, 0.75, 0.0),
+            BASELINE_LEVELS,
+        ),
+        5,
+    ),
+    "six_equal_prices_keep_first": (
+        ((0.5,) * 6, (0.5,) * 6, (0.25, 0.5, 0.5, 0.5, 0.5, 0.5), BASELINE_LEVELS), 0
+    ),
+    # Every rung unsold: all profits tie at 0 and the lowest price, v_B's
+    # above the top rung, wins with zero coverage.
+    "six_zero_coverages": (
+        ((0.25, 0.5, 0.625, 0.75, 1.0, 0.125), (0.0,) * 6, (0.0,) * 6, BASELINE_LEVELS), 5
+    ),
+}
+
+
+class TestArgmaxScans:
+    @pytest.mark.parametrize("name", sorted(CRAFTED_CANDIDATES))
+    def test_scalar_and_array_scans_agree(self, name):
+        (prices, cov_G, cov_B, levels), winner = CRAFTED_CANDIDATES[name]
+        want = (
+            prices[winner], levels[winner],
+            prices[winner] * cov_G[winner], prices[winner] * cov_B[winner],
+        )
+        got = _argmax(prices, cov_G, cov_B, levels)
+        # repr tells -0.0 from 0.0 and an int level from a float.
+        assert repr(tuple(got)) == repr(want)
+        # Floats stay floats among the array coverages, as in the naive set.
+        arrays = [np.array([x]) for x in prices], [np.array([x]) for x in cov_G], cov_B
+        fields = _argmaxes(*arrays, levels)
+        assert repr(tuple(field.tolist()[0] for field in fields)) == repr(tuple(got))
+
+
 box_gammas = st.one_of(
     st.sampled_from([5e-324, 0.5, 1.0 - 2**-53]),
     st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
@@ -116,6 +183,7 @@ class TestNaiveCandidates:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(box_hs, box_vbs, box_gammas, box_mu0s), min_size=1, max_size=40))
     @example(NAIVE_EDGES)
+    @example([(0.5, -0.0, 0.3, 0.4), (0.7, -0.0, 0.3, -0.0), (1.0, -0.0, 1.0 - 2**-53, 1.0)])
     def test_equals_scalar_naive_argmax_field_by_field(self, points):
         h, v_B, gamma, mu0 = (np.array(column) for column in zip(*points))
         fields = [array.tolist() for array in naive_candidates(h, v_B, gamma, mu0)]
