@@ -94,6 +94,9 @@ MAX_GRID_POINTS = 10**6
 #: Largest `verify --seed`: the Monte-Carlo check seeds its runs with
 #: seed + 0..5, and a Philox key must stay below 2**128.
 MAX_VERIFY_SEED = 2**128 - 6
+#: Two-sided tail beyond 4 sigma, the Monte-Carlo check's bound on an
+#: all-bought or none-bought run, which has no sample SE.
+MC_TAIL = math.erfc(4.0 / math.sqrt(2.0))
 #: Most grid points whose candidate argmax one numpy pass computes, and most
 #: rows the writer formats at once, so neither holds more than a few hundred
 #: kB whatever the grid's size.
@@ -228,6 +231,9 @@ def _load_config(path: Optional[str]) -> dict:
     out = config.get("out")
     if out is not None and not isinstance(out, str):
         raise UsageError(f"config out must be a file name, got {out!r}")
+    config_format = config.get("format")
+    if config_format is not None and config_format not in ("csv", "json"):
+        raise UsageError(f"config format must be csv or json, got {config_format!r}")
     return config
 
 
@@ -436,18 +442,17 @@ def _bisected_level_boundary(lam: float, v_B: float, max_level: int) -> float:
     """Where the ladder's argmax level leaves 1..max_level, by bisection on h.
 
     The argmax at h = 0.5 is level 1; 1.0 when it is still at or below
-    max_level at h = 1.
+    max_level at h = 1.  Checking h = 1 first keeps the bracket's ends at
+    -1 and +1, so the step passes bisect_threshold's monotone check even
+    where the argmax leaves 1..max_level and comes back before h = 1.
     """
-    if _argmax_level(1.0, lam, v_B) <= max_level:
+
+    def step(h: float) -> float:
+        return 1.0 if _argmax_level(h, lam, v_B) > max_level else -1.0
+
+    if step(1.0) < 0.0:
         return 1.0
-    lo, hi = 0.5, 1.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if _argmax_level(mid, lam, v_B) <= max_level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_threshold(step, (0.5, 1.0))
 
 
 def _bisected_three_way_tie(
@@ -560,13 +565,19 @@ def _check_monte_carlo(rng: np.random.Generator, draws: int, seed: int) -> tuple
         price = float(rng.uniform(0.0, 1.0))
         report = simulate_market(params, quality, price, draws=draws, seed=seed + k)
         analytic = float(demand_by_enumeration(params, quality, price))
-        gap = abs(report.est_demand - analytic)
         if report.se_demand == 0.0:
-            # Degenerate cell (all draws buy or none do): analytic value may
-            # still carry float-summation dust, so allow a strict tolerance.
-            if gap > 1e-12:
-                return False, f"zero-variance cell missed analytic demand by {gap:.3g}"
+            # Every draw bought or none did, so there is no sample SE.  Fail
+            # only if that outcome is less likely under the analytic demand
+            # than the z-score's two-sided 4-sigma tail.
+            bought = report.est_demand == 1.0
+            chance = (analytic if bought else 1.0 - analytic) ** draws
+            if chance < MC_TAIL:
+                return False, (
+                    f"all {draws} draws {'bought' if bought else 'declined'} at analytic "
+                    f"demand {analytic:.3g} (probability {chance:.3g})"
+                )
             continue
+        gap = abs(report.est_demand - analytic)
         worst_sigma = max(worst_sigma, gap / report.se_demand)
         twin = simulate_market(params, quality, price, draws=draws, seed=seed + k)
         if twin.to_json() != report.to_json():
@@ -668,11 +679,7 @@ def _print_stats(args, rows: Sequence[tuple], columns: Sequence[str], batched: i
 def _run_command(args, started: float) -> int:
     config = _load_config(args.config)
     if args.format is None:
-        config_format = config.get("format")
-        if config_format is not None:
-            if config_format not in ("csv", "json"):
-                raise UsageError(f"config format must be csv or json, got {config_format!r}")
-            args.format = config_format
+        args.format = config.get("format")
     if args.out is None:
         args.out = config.get("out")
     if args.out == "":

@@ -505,13 +505,6 @@ def _monotone_root(
     return x
 
 
-def _tie_h(lam: float, v_B: float, low: int, high: int) -> Optional[float]:
-    """h at which the level-`high` profit overtakes the level-`low` profit."""
-    profits = _profits_at(lam, v_B)
-    t = _bracketed_root(_sub(profits[low - 1], profits[high - 1]), 0.0, 0.5)
-    return None if t is None else 0.5 + t
-
-
 def _tie_lambda(h: float, v_B: float, low: int, high: int) -> Optional[float]:
     """lambda at which the level-`low` and level-`high` profits cross."""
     polys = _profit_polys(v_B)

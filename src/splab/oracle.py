@@ -51,25 +51,16 @@ class _CellTable(NamedTuple):
     bad-low).  wtps holds the cells' WTPs in that order; they do not depend
     on quality.  masses[i] holds the cells' probabilities, the type share
     times Pr(signal | Q), under Q = G (i = 0) or B (i = 1).  levels are the
-    sorted distinct WTPs, also as level_array.  steps[i][j] is the demand
-    under that quality at every price in (levels[j-1], levels[j]], and the
-    last entry, 0.0, the demand above the top WTP; step_arrays[i] holds the
-    same floats.  A cached table is shared by every caller, so it holds
-    tuples and read-only arrays.
+    sorted distinct WTPs.  steps[i][j] is the demand under that quality at
+    every price in (levels[j-1], levels[j]], and the last entry, 0.0, the
+    demand above the top WTP.  A cached table is shared by every caller, so
+    it holds only tuples.
     """
 
     wtps: tuple[float, ...]
     masses: tuple[tuple[float, ...], tuple[float, ...]]
     levels: tuple[float, ...]
-    level_array: np.ndarray
     steps: tuple[tuple[float, ...], tuple[float, ...]]
-    step_arrays: tuple[np.ndarray, np.ndarray]
-
-
-def _read_only(values: Sequence[float]) -> np.ndarray:
-    array = np.array(values)
-    array.flags.writeable = False
-    return array
 
 
 def _build_table(params: ModelParams) -> _CellTable:
@@ -123,9 +114,7 @@ def _build_table(params: ModelParams) -> _CellTable:
         wtps=wtps,
         masses=(masses_G, masses_B),
         levels=levels,
-        level_array=_read_only(levels),
         steps=(tuple(steps_G), tuple(steps_B)),
-        step_arrays=(_read_only(steps_G), _read_only(steps_B)),
     )
 
 
@@ -174,7 +163,7 @@ def demand_by_enumeration(params: ModelParams, quality: Quality, price):
         raise ParameterError("price must lie in [0, 1]")
     i = _quality_index(quality)
     table = _cell_table(params)
-    total = table.step_arrays[i][np.searchsorted(table.level_array, prices, side="left")]
+    total = np.array(table.steps[i])[np.searchsorted(table.levels, prices, side="left")]
     if np.ndim(price) == 0:
         return float(total)
     return total
@@ -229,7 +218,9 @@ def _grid_prices(wtps: Sequence[float], v_B: float, grid: GridSpec) -> list[floa
     )
 
 
-def _first_max(prices: np.ndarray, wtps: np.ndarray, steps: np.ndarray) -> tuple[float, float]:
+def _first_max(
+    prices: np.ndarray, wtps: Sequence[float], steps: Sequence[float]
+) -> tuple[float, float]:
     """Lowest of the ascending `prices` that earns the most, and that profit.
 
     The prices at or below wtps[0] lie on step 0, those in (wtps[0],
@@ -245,7 +236,7 @@ def _first_max(prices: np.ndarray, wtps: np.ndarray, steps: np.ndarray) -> tuple
     ends.append(len(prices))  # steps has one entry more than wtps
     runs = [
         (start, end, step)
-        for start, end, step in zip([0, *ends], ends, steps.tolist())
+        for start, end, step in zip([0, *ends], ends, steps)
         if start < end
     ]
 
@@ -275,10 +266,10 @@ def grid_argmax(
         grid = _DEFAULT_GRID
     i = _quality_index(quality)
     table = _cell_table(params)
-    best_price, best_profit = _first_max(_mesh(grid), table.level_array, table.step_arrays[i])
     levels, steps = table.levels, table.steps[i]
+    best_price, best_profit = _first_max(_mesh(grid), levels, steps)
     for price in _grid_prices(levels, params.v_B, grid):
-        # The step searchsorted(level_array, price, side="left") picks.
+        # The step searchsorted(levels, price, side="left") picks.
         profit = price * steps[bisect_left(levels, price)]
         if profit > best_profit or (profit == best_profit and price < best_price):
             best_price, best_profit = price, profit
@@ -327,8 +318,7 @@ def simulate_market(
         raise ParameterError(f"draws must be an int >= 1, got {draws!r}")
     if not _is_int(seed) or not 0 <= seed < _SEED_LIMIT:
         raise ParameterError(f"seed must be an int in [0, 2**128), got {seed!r}")
-    if not isinstance(quality, Quality):
-        raise ParameterError(f"quality must be a Quality, got {quality!r}")
+    good = _quality_index(quality) == 0
     if not 0.0 <= price <= 1.0:
         raise ParameterError(f"price must lie in [0, 1], got {price}")
 
@@ -337,7 +327,6 @@ def simulate_market(
     # bad-low), so a draw's cell is soph*4 + low*2 + bad.
     wtps = _cell_table(params).wtps
     buyer_bits = np.uint8(sum(1 << k for k, wtp in enumerate(wtps) if wtp >= price))
-    good = quality is Quality.G
 
     buffer = np.empty((min(_CHUNK, draws), _UNIFORMS_PER_DRAW))
     buys = 0

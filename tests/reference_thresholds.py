@@ -5,10 +5,10 @@ h_star and the level-3 boundary off one level map and took each three-way
 tie as one polynomial root.  Each `level_boundary` call sorts the roots of
 its own cross pairs P_i - P_j (i <= max_level < j) and tests each piece's
 midpoint; each bisection step of `three_way_tie` rebuilds all five levels'
-quadratics through `_tie_h`.  `thresholds()` must equal it bit for bit in
+quadratics through `tie_h`.  `thresholds()` must equal it bit for bit in
 every field but lambda_hat1 and lambda_hat3, which must agree within the
 bisection's tolerance (`tests/test_threshold_map.py`).  The helpers both
-share (`_profit_polys`, `_roots`, `_tie_h`, `_with_existence`,
+share (`_profit_polys`, `_roots`, `_bracketed_root`, `_with_existence`,
 `_lambda_bar`, ...) are imported.
 """
 
@@ -21,6 +21,7 @@ from splab.equilibrium import (
     _V_BAR,
     _StructureConstants,
     _argmax_level,
+    _bracketed_root,
     _eval,
     _h_overline,
     _h_underline,
@@ -30,7 +31,6 @@ from splab.equilibrium import (
     _require_base,
     _roots,
     _sub,
-    _tie_h,
     _tie_lambda,
     _with_existence,
 )
@@ -39,6 +39,13 @@ from splab.oracle import bisect_threshold
 
 class _NoTie(Exception):
     """The two-level tie a three-way tie slides along is absent."""
+
+
+def tie_h(lam: float, v_B: float, low: int, high: int) -> Optional[float]:
+    """h at which the level-`high` profit overtakes the level-`low` profit."""
+    profits = _profits_at(lam, v_B)
+    t = _bracketed_root(_sub(profits[low - 1], profits[high - 1]), 0.0, 0.5)
+    return None if t is None else 0.5 + t
 
 
 def poly_profit_G(h: float, lam: float, v_B: float, level: int) -> float:
@@ -69,7 +76,7 @@ def structure_constants(v_B: float) -> _StructureConstants:
 
     def three_way_tie(low: int, high: int, other: int, bracket) -> Optional[float]:
         def excess(lam: float) -> float:
-            t = _tie_h(lam, v_B, low, high)
+            t = tie_h(lam, v_B, low, high)
             if t is None:
                 raise _NoTie
             return poly_profit_G(t, lam, v_B, low) - poly_profit_G(t, lam, v_B, other)
@@ -84,8 +91,8 @@ def structure_constants(v_B: float) -> _StructureConstants:
         lambda_hat1 = three_way_tie(3, 4, 2, (eps, lambda_hat2 - eps))
     lambda_hat3 = three_way_tie(1, 2, 3, (eps, 1.0 - eps))
 
-    h_knee1 = _tie_h(lambda_hat3, v_B, 1, 2) if lambda_hat3 is not None else None
-    h_knee2 = _tie_h(lambda_hat1, v_B, 3, 4) if lambda_hat1 is not None else None
+    h_knee1 = tie_h(lambda_hat3, v_B, 1, 2) if lambda_hat3 is not None else None
+    h_knee2 = tie_h(lambda_hat1, v_B, 3, 4) if lambda_hat1 is not None else None
     return _StructureConstants(lambda_hat1, lambda_hat2, lambda_hat3, h_knee1, h_knee2)
 
 

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import bisection_thresholds
 import splab.cli
 from splab.cli import main
 
@@ -252,6 +254,25 @@ class TestConfigAndErrors:
         assert captured.out == ""
         assert captured.err.startswith("splab: error:")
 
+    @pytest.mark.parametrize("overridden", [False, True], ids=["alone", "overridden"])
+    @pytest.mark.parametrize("key,bad,flag", [
+        ("format", 5, ["--format", "csv"]),
+        ("format", "tsv", ["--format", "json"]),
+        ("out", 5, ["--out", "out.csv"]),
+    ])
+    def test_bad_config_value_rejected_even_under_its_flag(
+        self, tmp_path, capsys, monkeypatch, key, bad, flag, overridden
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": 0.7, key: bad}))
+        code = main(["solve", "--config", str(cfg), *(flag if overridden else [])])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"splab: error: config {key} must")
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_empty_out_rejected_before_solving(self, tmp_path, capsys, monkeypatch, source):
         # An empty name would otherwise send the output to stdout.
@@ -381,6 +402,49 @@ class TestVerify:
         assert code == 3
         line, = [l for l in out.splitlines() if "threshold certificates" in l]
         assert line.startswith("FAIL") and "closed form - bisection" in line
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_single_draw_passes(self, capsys, seed):
+        # One draw has no sample SE; all-bought or none-bought is judged by
+        # its probability under the analytic demand.
+        code, out = run(capsys, "verify", "--seed", str(seed), "--draws", "1")
+        assert code == 0, out
+
+    def test_single_draw_fails_on_an_impossible_outcome(self, capsys, monkeypatch):
+        simulate = splab.cli.simulate_market
+
+        def bought(*args, **kwargs):
+            return dataclasses.replace(simulate(*args, **kwargs), est_demand=1.0)
+
+        enumerate_demand = splab.cli.demand_by_enumeration
+
+        def nobody(params, quality, price):
+            # Only the Monte-Carlo check passes scalar prices.
+            return enumerate_demand(params, quality, price) if np.ndim(price) else 0.0
+
+        monkeypatch.setattr(splab.cli, "simulate_market", bought)
+        monkeypatch.setattr(splab.cli, "demand_by_enumeration", nobody)
+        code, out = run(capsys, "verify", "--seed", "0", "--draws", "1")
+        assert code == 3
+        failed = [l for l in out.splitlines() if l.startswith("FAIL:")]
+        assert len(failed) == 1
+        assert "Monte-Carlo demand" in failed[0] and "all 1 draws bought" in failed[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lam=st.floats(0.0, 1.0),
+        v_B=st.floats(0.0, 0.95),
+        max_level=st.integers(1, 3),
+    )
+    @example(lam=0.0, v_B=0.1, max_level=1)
+    @example(lam=1.0, v_B=0.1, max_level=2)
+    @example(lam=0.0, v_B=0.1, max_level=3)
+    @example(lam=1.0, v_B=0.0, max_level=3)
+    def test_level_boundary_matches_reference_bisection(self, lam, v_B, max_level):
+        # The golden prints the gap to 3 digits; this holds every bit.
+        got = splab.cli._bisected_level_boundary(lam, v_B, max_level)
+        want = bisection_thresholds.level_boundary(lam, v_B, max_level)
+        assert repr(got) == repr(want)
 
     @pytest.mark.parametrize(
         "flag,value",

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_thresholds as reference
 from splab import ModelParams, thresholds
-from splab.equilibrium import _level_profit_G, _tie_h
+from splab.equilibrium import _level_profit_G
 from splab.oracle import BISECT_TOL
 from test_threshold_engine import LAST_ULPS, NEAR_ONE_VBS
 
@@ -102,7 +102,7 @@ def test_three_way_ties_hold_on_the_ladder():
             lam = getattr(ts, name)
             if lam is None:
                 continue
-            h = _tie_h(lam, v_B, low, high)
+            h = reference.tie_h(lam, v_B, low, high)
             profits = [_level_profit_G(h, lam, v_B, level) for level in (low, high, other)]
             worst = max(worst, max(profits) - min(profits))
     assert worst <= 1e-14
