@@ -13,7 +13,9 @@ Parameters are given as flags (``--h``, ``--lambda``, ``--vb``, ``--gamma``,
 (``--h 0.5:1:51``, steps >= 2); a grid holds at most 10^6 points.  A JSON
 config file (``--config``) may supply the same keys; explicit flags override
 it.  Output goes to ``--out`` or stdout as CSV (default) or JSON; floats are
-fixed at 12 significant digits so identical runs are byte-identical.
+fixed at 12 significant digits so identical runs are byte-identical.  A
+grid is solved, formatted and written one chunk at a time, so memory does
+not grow with its size; a refused point is found before the first byte.
 ``--stats`` adds one JSON line on stderr: the points, the tally of their
 labels, how many the batched and the scalar path solved, and the seconds
 spent parsing, solving and writing.  Stdout does not change.
@@ -34,14 +36,13 @@ import csv
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 import time
 from collections import Counter
 from dataclasses import astuple, fields
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +60,7 @@ from .equilibrium import (
 )
 from .model import (
     BASE,
+    FIELD_RANGES,
     ModelParams,
     ParameterError,
     Quality,
@@ -74,6 +76,11 @@ from .oracle import (
 
 class UsageError(Exception):
     """Bad flags, config, or axis syntax; maps to exit code 2."""
+
+
+class StdoutError(Exception):
+    """A write to stdout failed; its OSError is the `__cause__`.  `main`
+    reports it, and only it, as "cannot write stdout"."""
 
 
 #: The grid axes, in ModelParams' field order.
@@ -94,12 +101,16 @@ MAX_GRID_POINTS = 10**6
 #: Largest `verify --seed`: the Monte-Carlo check seeds its runs with
 #: seed + 0..5, and a Philox key must stay below 2**128.
 MAX_VERIFY_SEED = 2**128 - 6
+#: Largest `verify --draws`.  At this bound `verify --seed 0` takes 10 s on
+#: a 2-vCPU x86-64 machine, and up to about twice that where all six
+#: Monte-Carlo runs have a sample SE (each such run is simulated twice).
+MAX_VERIFY_DRAWS = 10**8
 #: Two-sided tail beyond 4 sigma, the Monte-Carlo check's bound on an
 #: all-bought or none-bought run, which has no sample SE.
 MC_TAIL = math.erfc(4.0 / math.sqrt(2.0))
 #: Most grid points whose candidate argmax one numpy pass computes, and most
-#: rows the writer formats at once, so neither holds more than a few hundred
-#: kB whatever the grid's size.
+#: rows the writer pulls, formats and writes at once, so none of them holds
+#: more than a few hundred kB whatever the grid's size.
 GRID_CHUNK = 4096
 
 SOLVE_COLUMNS = (
@@ -258,55 +269,116 @@ def _resolve_axes(args, config: dict) -> dict[str, list[float]]:
     }
 
 
-def _grid_rows(axes: dict[str, list[float]], counts: Counter, row) -> list[tuple]:
+class LazyRows:
+    """Rows built as they are read: `len()` is their number, and each
+    iteration walks `chunks()`, an iterator of row lists, afresh."""
+
+    def __init__(self, size: int, chunks: Callable[[], Iterator[list]]) -> None:
+        self._size, self._chunks = size, chunks
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[tuple]:
+        return itertools.chain.from_iterable(self._chunks())
+
+
+def _refuse_grid(axes: dict[str, list[float]]) -> None:
+    """Raise what the first refused grid point raises, before any is solved.
+
+    A point is refused where a value lies outside its field's range
+    (`model.FIELD_RANGES`), or where lam > 0 off the baseline (gamma or mu0
+    not 0.5), which solve_pooling refuses.  Each is a condition on one or
+    two axes, so the first refused point in product order is the least of a
+    few points found from the axes alone: each axis's first value out of
+    range with every other axis at its first value, and the first nonzero
+    lam with the first gamma, or the first mu0, that is not 0.5.  That point
+    raises through ModelParams and solve_pooling, as the per-point walk
+    would raise there.
+    """
+    lists = [axes[axis] for axis in AXIS_ORDER]
+
+    def first(axis: int, refused) -> Optional[int]:
+        return next((k for k, value in enumerate(lists[axis]) if refused(value)), None)
+
+    # Each set of refused points, as {axis: the first index it refuses};
+    # its first point has every other axis at index 0.
+    firsts = [
+        {axis: first(axis, lambda value: not in_range(value))}
+        for axis, (in_range, _) in enumerate(FIELD_RANGES.values())
+    ]
+    lam, gamma, mu0 = map(AXIS_ORDER.index, ("lambda", "gamma", "mu0"))
+    firsts += [
+        {lam: first(lam, lambda value: value != 0.0), axis: first(axis, lambda value: value != BASE)}
+        for axis in (gamma, mu0)
+    ]
+    # Tuples of indices compare in product order.
+    refused = [
+        tuple(at.get(axis, 0) for axis in range(len(lists)))
+        for at in firsts if None not in at.values()
+    ]
+    if refused:
+        point = (values[k] for values, k in zip(lists, min(refused)))
+        solve_pooling(ModelParams(*point))
+
+
+def _grid_rows(axes: dict[str, list[float]], counts: Counter, row) -> LazyRows:
     """`row(values, label, outcome)` at each grid point, in product order.
 
     `values` are the point's axis values in AXIS_ORDER, and `label, outcome`
-    is its `classify_equilibrium`.  The points go in chunks of at most
-    GRID_CHUNK.  One `pooling_candidates` call takes the candidate argmax at
-    every chunk point solve_pooling would solve (the baseline and the fully
-    naive market), and its arrays become lists before the chunk's first
-    point is solved; the other points, which raise, get no candidate.
-    `counts["batched"]` adds up the points that got one.  The values come
+    is its `classify_equilibrium`.  A grid with a refused point raises here,
+    before any point is solved (`_refuse_grid`).  Otherwise the rows come
+    back lazily: each iteration solves the points in chunks of at most
+    GRID_CHUNK, one chunk when its first row is read, so only one chunk's
+    rows are alive at a time.  One `pooling_candidates` call takes the
+    candidate argmax at every chunk point (the baseline and the fully naive
+    market), and its arrays become lists before the chunk's first point is
+    solved.  Each chunk adds its points, which all got a candidate, to
+    `counts["batched"]` and tallies its labels in `counts`.  The values come
     from one product over the axis lists, so the rows share the axes' float
-    objects rather than holding a new float per cell.  ModelParams is built
-    per point, so a bad value raises at the same point as on the scalar
-    path.
+    objects rather than holding a new float per cell.  ModelParams is built,
+    and classify_equilibrium called, once per point.
     """
-    columns = [np.array(axes[axis]) for axis in AXIS_ORDER]
+    _refuse_grid(axes)
+    lists = [axes[axis] for axis in AXIS_ORDER]
+    return LazyRows(math.prod(map(len, lists)), lambda: _grid_chunks(lists, counts, row))
+
+
+def _grid_chunks(lists: list[list[float]], counts: Counter, row) -> Iterator[list]:
+    """The rows of `_grid_rows`, one list per chunk."""
+    columns = [np.array(values) for values in lists]
     shape = tuple(map(len, columns))
     size = math.prod(shape)
-    points = itertools.product(*(axes[axis] for axis in AXIS_ORDER))
-    rows = []
+    points = itertools.product(*lists)
     for start in range(0, size, GRID_CHUNK):
         chunk = min(GRID_CHUNK, size - start)
         fields = (
             column[index] for column, index in
             zip(columns, np.unravel_index(np.arange(start, start + chunk), shape))
         )
-        # A value outside the parameter box makes a candidate that is never
-        # used (ModelParams rejects the point first), so its float warnings
-        # are muted.
-        with np.errstate(all="ignore"):
-            found, arrays = pooling_candidates(*fields)
-        counts["batched"] += int(np.count_nonzero(found))
+        found, arrays = pooling_candidates(*fields)
+        # _refuse_grid let through only points that solve_pooling solves,
+        # and pooling_candidates finds a candidate at each of them.
+        assert found.all()
+        counts["batched"] += chunk
         candidates = map(PoolingCandidate, *(array.tolist() for array in arrays))
-        for values, has_candidate in zip(itertools.islice(points, chunk), found.tolist()):
-            label, outcome = classify_equilibrium(
-                ModelParams(*values), next(candidates) if has_candidate else None
-            )
+        rows, labels = [], []
+        for values, candidate in zip(itertools.islice(points, chunk), candidates):
+            label, outcome = classify_equilibrium(ModelParams(*values), candidate)
+            labels.append(label)
             rows.append(row(values, label, outcome))
-    return rows
+        counts.update(labels)
+        yield rows
 
 
-def _solve_rows(axes: dict[str, list[float]], counts: Counter) -> list[tuple]:
+def _solve_rows(axes: dict[str, list[float]], counts: Counter) -> LazyRows:
     return _grid_rows(axes, counts, lambda values, _, out: (
         *values, out.kind, out.price, out.low_price, out.alpha,
         out.profit_G, out.profit_B, out.region, out.candidate_level,
     ))
 
 
-def _region_rows(axes: dict[str, list[float]], counts: Counter) -> list[tuple]:
+def _region_rows(axes: dict[str, list[float]], counts: Counter) -> LazyRows:
     return _grid_rows(axes, counts, lambda values, label, out: (
         *values, label, out.price, out.profit_G, out.profit_B,
     ))
@@ -339,46 +411,83 @@ def _threshold_rows(axes: dict[str, list[float]]) -> list[tuple]:
     return [(*values[:3], *astuple(thresholds(ModelParams(*values))))]
 
 
-def _write_rows(rows: Sequence[tuple], columns: Sequence[str], args) -> None:
-    """Write rows, tuples in the order of `columns`, as CSV or JSON.
+@contextlib.contextmanager
+def _writing(out: Optional[str]):
+    """Report an OSError of the block as a failed write: a UsageError naming
+    the --out file `out`, or a StdoutError when `out` is None."""
+    try:
+        yield
+    except OSError as exc:
+        if out:
+            raise UsageError(f"cannot write --out {out}: {exc}") from exc
+        raise StdoutError(exc) from exc
+
+
+@contextlib.contextmanager
+def _output(out: Optional[str]):
+    """The --out file `out`, open for writing, or stdout when `out` is None.
+    Failing to open or close --out is reported as `_writing` reports it."""
+    with _writing(out):
+        fh = open(out, "w", encoding="utf-8", newline="") if out else sys.stdout
+    try:
+        yield fh
+    except BaseException:
+        # The first error stands; closing may only fail the same write again.
+        if out:
+            with contextlib.suppress(OSError):
+                fh.close()
+        raise
+    if out:
+        with _writing(out):
+            fh.close()
+
+
+def _write_rows(rows: Iterable[tuple], columns: Sequence[str], args) -> float:
+    """Write rows, tuples in the order of `columns`, as CSV or JSON, and
+    return the seconds spent waiting for them.
 
     The CSV prints each number with 12 significant digits.  The JSON equals
     `json.dumps(..., indent=2)` of a list holding one object per row, each
-    float rounded to those 12 digits, plus a newline.  Rows go out in
-    chunks of at most GRID_CHUNK, each formatted column by column
-    (`_column_texts`); `csv.writer` writes a CSV chunk's texts, and a JSON
-    chunk is written from one row template.
+    float rounded to those 12 digits, plus a newline.  Rows are pulled
+    GRID_CHUNK at a time, and each chunk is formatted column by column
+    (`_column_texts`) and written before the next is pulled, so a lazy grid
+    (`_grid_rows`) is solved, formatted and written one chunk at a time.
+    `csv.writer` writes a CSV chunk's texts, and a JSON chunk is written
+    from one row template.
 
-    Failing to open, write or close --out is a UsageError; a failed write to
-    stdout propagates to `main`.
+    Failing to open, write or close --out is a UsageError, and a failed
+    stdout write a StdoutError; an error raised while pulling rows
+    propagates as it is.  Either way the chunks already written stay, a
+    prefix of the output.
     """
     as_json = args.format == "json"
     template = "  {\n%s\n  }" % ",\n".join(
         "    %s: %%s" % encode_basestring_ascii(name).replace("%", "%%") for name in columns
     )
-    try:
-        with (open(args.out, "w", encoding="utf-8", newline="") if args.out
-              else contextlib.nullcontext(sys.stdout)) as fh:
-            if not as_json:
-                writer = csv.writer(fh, lineterminator="\n")
+    rows = iter(rows)
+    opener, waited = "[\n", 0.0
+    with _output(args.out) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if not as_json:
+            with _writing(args.out):
                 writer.writerow(columns)
-            elif not rows:
-                fh.write("[]\n")
-            for start in range(0, len(rows), GRID_CHUNK):
-                chunk = rows[start:start + GRID_CHUNK]
-                texts = zip(*(_column_texts(column, as_json) for column in zip(*chunk)))
-                if not as_json:
+        while True:
+            pulled = time.perf_counter()
+            chunk = list(itertools.islice(rows, GRID_CHUNK))
+            waited += time.perf_counter() - pulled
+            if not chunk:
+                break
+            texts = zip(*(_column_texts(column, as_json) for column in zip(*chunk)))
+            with _writing(args.out):
+                if as_json:
+                    fh.write(opener + ",\n".join(map(template.__mod__, texts)))
+                else:
                     writer.writerows(texts)
-                    continue
-                if start == 0:
-                    fh.write("[\n" + template % next(texts))
-                fh.writelines(map((",\n" + template).__mod__, texts))
-            if as_json and rows:
-                fh.write("\n]\n")
-    except OSError as exc:
-        if not args.out:
-            raise
-        raise UsageError(f"cannot write --out {args.out}: {exc}") from exc
+            opener = ",\n"
+        if as_json:
+            with _writing(args.out):
+                fh.write("[]\n" if opener == "[\n" else "\n]\n")
+    return waited
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +667,7 @@ def _check_threshold_certificates(rng: np.random.Generator) -> tuple[bool, str]:
 
 
 def _check_monte_carlo(rng: np.random.Generator, draws: int, seed: int) -> tuple[bool, str]:
-    worst_sigma = 0.0
+    worst_sigma, all_or_none = 0.0, 0
     for k in range(6):
         params = _random_base_params(rng)
         quality = Quality.G if k % 2 == 0 else Quality.B
@@ -576,20 +685,31 @@ def _check_monte_carlo(rng: np.random.Generator, draws: int, seed: int) -> tuple
                     f"all {draws} draws {'bought' if bought else 'declined'} at analytic "
                     f"demand {analytic:.3g} (probability {chance:.3g})"
                 )
+            all_or_none += 1
             continue
         gap = abs(report.est_demand - analytic)
         worst_sigma = max(worst_sigma, gap / report.se_demand)
         twin = simulate_market(params, quality, price, draws=draws, seed=seed + k)
         if twin.to_json() != report.to_json():
             return False, "identical seeds produced different reports"
-    return worst_sigma <= 4.0, f"max |error|/SE = {worst_sigma:.2f} over 6 runs"
+    with_se = 6 - all_or_none
+    detail = (
+        f"max |error|/SE = {worst_sigma:.2f} over {with_se} run{'s' * (with_se != 1)}"
+        if with_se else "no run has a sample SE"
+    )
+    if all_or_none:
+        detail += (
+            f"; {all_or_none} all-or-none run{'s' * (all_or_none != 1)}, "
+            "none less likely than the 4-sigma tail"
+        )
+    return worst_sigma <= 4.0, detail
 
 
 def _run_verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
     draws = args.draws if args.draws is not None else 200000
-    if draws < 1:
-        raise UsageError(f"--draws must be >= 1, got {draws}")
+    if not 1 <= draws <= MAX_VERIFY_DRAWS:
+        raise UsageError(f"--draws must lie in [1, {MAX_VERIFY_DRAWS}], got {draws}")
     if not 0 <= seed <= MAX_VERIFY_SEED:
         raise UsageError(f"--seed must lie in [0, 2**128 - 6], got {seed}")
     checks = [
@@ -603,8 +723,10 @@ def _run_verify(args) -> int:
     for k, (name, check) in enumerate(checks):
         ok, detail = check(np.random.default_rng([seed, k]))
         all_ok = all_ok and ok
-        print(f"{'PASS' if ok else 'FAIL'}: {name} ({detail})")
-    print("verification " + ("passed" if all_ok else "FAILED"))
+        with _writing(None):
+            print(f"{'PASS' if ok else 'FAIL'}: {name} ({detail})")
+    with _writing(None):
+        print("verification " + ("passed" if all_ok else "FAILED"))
     return 0 if all_ok else 3
 
 
@@ -628,7 +750,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--seed", type=int, help="seed for the verification suite, 0 to 2**128 - 6"
             )
-            p.add_argument("--draws", type=int, help="Monte-Carlo draws per check")
+            p.add_argument(
+                "--draws", type=int, help="Monte-Carlo draws per run, 1 to 10**8"
+            )
             continue
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON file with parameter/output keys")
@@ -646,32 +770,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _label(columns: Sequence[str]):
-    """Each row's region label (R1..R4, mixed, none), or None for commands
-    whose rows carry none."""
-    if "classification" in columns:
-        return operator.itemgetter(columns.index("classification"))
-    if "region" in columns:
-        region, kind = columns.index("region"), columns.index("kind")
-        return lambda row: row[region] or row[kind]
-    return None
-
-
-def _print_stats(args, rows: Sequence[tuple], columns: Sequence[str], batched: int,
-                 times: tuple[float, float, float, float]) -> None:
-    """The --stats line.  The tally is read off the finished rows."""
-    label = _label(columns)
-    tally = Counter(map(label, rows)) if label else Counter()
-    started, parsed, solved, written = times
+def _print_stats(args, points: int, counts: Counter,
+                 times: tuple[float, float, float, float, float]) -> None:
+    """The --stats line.  `counts` holds the grid chunks' tallies: the
+    points that got a batched candidate ("batched") and each label."""
+    started, parsed, solved, written, waited = times
     stats = {
         "command": args.command,
-        "points": len(rows),
-        "kinds": dict(sorted(tally.items())),
-        "batched": batched,
-        "scalar": len(rows) - batched,
+        "points": points,
+        "kinds": {kind: n for kind, n in sorted(counts.items()) if kind != "batched"},
+        "batched": counts["batched"],
+        "scalar": points - counts["batched"],
         "parse_s": round(parsed - started, 6),
-        "solve_s": round(solved - parsed, 6),
-        "write_s": round(written - solved, 6),
+        "solve_s": round(solved - parsed + waited, 6),
+        "write_s": round(written - solved - waited, 6),
     }
     print(json.dumps(stats), file=sys.stderr)
 
@@ -706,10 +818,12 @@ def _run_command(args, started: float) -> int:
     else:  # thresholds
         rows, columns = _threshold_rows(axes), THRESHOLD_COLUMNS
     solved = time.perf_counter()
-    _write_rows(rows, columns, args)
+    # A grid is solved as it is written: the writer returns the seconds it
+    # waited for rows, which count as solving.
+    waited = _write_rows(rows, columns, args)
     if args.stats:
-        times = (started, parsed, solved, time.perf_counter())
-        _print_stats(args, rows, columns, counts["batched"], times)
+        times = (started, parsed, solved, time.perf_counter(), waited)
+        _print_stats(args, len(rows), counts, times)
     return 0
 
 
@@ -722,20 +836,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             code = _run_verify(args)
         else:
             code = _run_command(args, started)
-        sys.stdout.flush()
+        with _writing(None):
+            sys.stdout.flush()
         return code
     except (UsageError, ParameterError, UnsupportedVariantError) as exc:
         print(f"splab: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        # A stdout write failed (--out failures are UsageErrors): the reader
-        # closed it early (say, `| head`; no message needed) or the device is
-        # full.  Point stdout at the null device so the interpreter's last
-        # flush of the unwritten buffer cannot raise again on the way out.
+    except StdoutError as exc:
+        # The reader closed stdout early (say, `| head`; no message needed)
+        # or the device is full.  Point stdout at the null device so the
+        # interpreter's last flush of the unwritten buffer cannot raise
+        # again on the way out.
         with contextlib.suppress(OSError, ValueError):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):
-            print(f"splab: error: cannot write stdout: {exc}", file=sys.stderr)
+            stdout, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, stdout)
+            os.close(null)
+        if not isinstance(exc.__cause__, BrokenPipeError):
+            print(f"splab: error: cannot write stdout: {exc.__cause__}", file=sys.stderr)
         return 2
 
 

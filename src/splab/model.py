@@ -98,6 +98,17 @@ SIGNALS: tuple[Signal, ...] = (
 )
 
 
+#: Each ModelParams field, in field order, with the test its finite float
+#: value must pass and the range that test admits, as error messages print it.
+FIELD_RANGES = {
+    "h": (lambda value: 0.5 <= value <= 1.0, "[0.5, 1]"),
+    "lam": (lambda value: 0.0 <= value <= 1.0, "[0, 1]"),
+    "v_B": (lambda value: 0.0 <= value < V_G, "[0, 1)"),
+    "gamma": (lambda value: 0.0 < value < 1.0, "(0, 1)"),
+    "mu0": (lambda value: 0.0 <= value <= 1.0, "[0, 1]"),
+}
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Market parameters.
@@ -119,9 +130,9 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         h, lam, v_B, gamma, mu0 = self.h, self.lam, self.v_B, self.gamma, self.mu0
-        # Five in-range floats pass in one test (NaN fails every comparison);
-        # anything else goes through _validate, which converts and names the
-        # first bad field.
+        # Five in-range floats pass in one test, FIELD_RANGES' five written
+        # out (NaN fails every comparison); anything else goes through
+        # _validate, which converts and names the first bad field.
         if (
             type(h) is float and type(lam) is float and type(v_B) is float
             and type(gamma) is float and type(mu0) is float
@@ -137,16 +148,9 @@ class ModelParams:
             object.__setattr__(self, name, float(value))
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
-        if not 0.5 <= self.h <= 1.0:
-            raise ParameterError(f"h must lie in [0.5, 1], got {self.h}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ParameterError(f"lam must lie in [0, 1], got {self.lam}")
-        if not 0.0 <= self.v_B < V_G:
-            raise ParameterError(f"v_B must lie in [0, 1), got {self.v_B}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not 0.0 <= self.mu0 <= 1.0:
-            raise ParameterError(f"mu0 must lie in [0, 1], got {self.mu0}")
+        for name, (in_range, text) in FIELD_RANGES.items():
+            if not in_range(getattr(self, name)):
+                raise ParameterError(f"{name} must lie in {text}, got {getattr(self, name)}")
 
     @property
     def is_base_variant(self) -> bool:

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -430,6 +431,30 @@ class TestVerify:
         assert len(failed) == 1
         assert "Monte-Carlo demand" in failed[0] and "all 1 draws bought" in failed[0]
 
+    def test_single_draw_detail_counts_the_runs_without_an_se(self, capsys):
+        # No run of one draw has a sample SE, so none enters the maximum.
+        code, out = run(capsys, "verify", "--seed", "0", "--draws", "1")
+        assert code == 0
+        line, = [l for l in out.splitlines() if "Monte-Carlo demand" in l]
+        assert line == (
+            "PASS: Monte-Carlo demand (no run has a sample SE; "
+            "6 all-or-none runs, none less likely than the 4-sigma tail)"
+        )
+
+    @pytest.mark.parametrize("draws", [splab.cli.MAX_VERIFY_DRAWS + 1, 2**128])
+    def test_draws_bounded_before_any_simulation(self, capsys, monkeypatch, draws):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated a market")
+
+        monkeypatch.setattr(splab.cli, "simulate_market", unreachable)
+        code = main(["verify", "--draws", str(draws)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"splab: error: --draws must lie in [1, 100000000], got {draws}\n"
+        )
+
     @settings(max_examples=200, deadline=None)
     @given(
         lam=st.floats(0.0, 1.0),
@@ -521,3 +546,57 @@ class TestBrokenPipe:
         assert proc.returncode == 2
         assert b"Traceback" not in proc.stderr
         assert b"Exception ignored" not in proc.stderr
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose `fail_at`-th write (from 1) raises `error`."""
+
+    def __init__(self, fail_at: int, error: OSError) -> None:
+        super().__init__()
+        self.fail_at, self.error, self.writes = fail_at, error, 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise self.error
+        return super().write(text)
+
+
+#: A map of three chunks.
+THREE_CHUNKS = ("regions", "--h", "0.5:1:96", "--lambda", "0:1:128", "--vb", "0.22")
+
+
+class TestStdoutErrors:
+    """Only a failed stdout write is reported as one."""
+
+    def test_other_os_errors_propagate(self, capsys, monkeypatch):
+        def timed_out(*args):
+            raise TimeoutError("timed out")
+
+        monkeypatch.setattr(splab.cli, "classify_equilibrium", timed_out)
+        with pytest.raises(TimeoutError):
+            main(list(THREE_CHUNKS))
+        assert "cannot write stdout" not in capsys.readouterr().err
+
+    def test_broken_pipe_stops_the_walk(self, capsys, monkeypatch):
+        classify = splab.cli.classify_equilibrium
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return classify(*args)
+
+        monkeypatch.setattr(splab.cli, "classify_equilibrium", counted)
+        monkeypatch.setattr(sys, "stdout", FailingStdout(2, BrokenPipeError(errno.EPIPE, "pipe")))
+        assert main(list(THREE_CHUNKS)) == 2
+        assert capsys.readouterr().err == ""
+        # A write of the first chunk failed, so no later chunk was solved.
+        assert len(calls) == splab.cli.GRID_CHUNK < 96 * 128
+
+    def test_full_stdout_is_reported(self, capsys, monkeypatch):
+        full = OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(sys, "stdout", FailingStdout(1, full))
+        assert main(list(THREE_CHUNKS)) == 2
+        assert capsys.readouterr().err == (
+            "splab: error: cannot write stdout: [Errno 28] No space left on device\n"
+        )

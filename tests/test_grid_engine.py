@@ -7,8 +7,11 @@ baseline argmax (`best_pooling_candidates`) and the fully naive market's
 `best_pooling_candidate` and `_naive_candidate` over the whole parameter
 box, hold the two scans both passes share (`_argmax` on floats, `_argmaxes`
 on arrays) to each other on crafted candidates, hold the rows to the
-per-point bodies in `reference_grid.py`, hold the CLI bytes to digests
-recorded before each pass was batched, and bound the memory the chunks take.
+per-point bodies in `reference_grid.py` (a grid with a refused point must
+raise the reference's error before it solves any point), hold the CLI bytes
+to digests recorded before each pass was batched, and bound the memory the
+chunks take, which must not grow with the grid now that rows stream to the
+writer.
 """
 
 from __future__ import annotations
@@ -222,6 +225,34 @@ ROW_GRIDS = {
         "--gamma", "5e-324:0.9999999999999999:2", "--mu0", "0:1:3",
     ),
 }
+#: Values outside each field's range, by axis.
+OUT_OF_BOX = {
+    "h": (0.49999999999999994, 1.0000000000000002, -1.0, 1e308, math.nan),
+    "lambda": (-5e-324, 1.0000000000000002, -1.0, 2.0),
+    "v_B": (-5e-324, 1.0, 1.5),
+    "gamma": (0.0, -0.0, 1.0, -0.5),
+    "mu0": (-5e-324, 1.0000000000000002, 3.0),
+}
+IN_BOX = {
+    "h": box_hs,
+    "lambda": st.one_of(st.sampled_from([0.0, -0.0]), box_lams),
+    "v_B": box_vbs,
+    "gamma": st.one_of(st.just(0.5), box_gammas),
+    "mu0": st.one_of(st.just(0.5), box_mu0s),
+}
+
+
+@st.composite
+def refusable_axes(draw):
+    """Axes of one to three values each, any of them possibly out of range."""
+    return {
+        axis: draw(st.lists(
+            st.one_of(IN_BOX[axis], st.sampled_from(OUT_OF_BOX[axis])), min_size=1, max_size=3
+        ))
+        for axis in cli.AXIS_ORDER
+    }
+
+
 #: Grids that fail part way, in the second chunk: lam > 0 off the baseline,
 #: and h far outside [0.5, 1], where the batched ladder divides by zero.
 FAILING_GRIDS = {
@@ -267,30 +298,75 @@ class TestGridRows:
 
     @pytest.mark.parametrize("grid", sorted(FAILING_GRIDS))
     @pytest.mark.parametrize("rows, reference_rows", BUILDERS)
-    def test_same_error_at_same_point(self, monkeypatch, grid, rows, reference_rows):
+    def test_same_error_at_same_point(self, monkeypatch, tmp_path, capsys, grid, rows,
+                                      reference_rows):
+        # The per-point reference raises in the second chunk; the engine
+        # raises the same error before it solves or classifies any point,
+        # so `main` writes no byte and creates no --out file.
         error, argv = FAILING_GRIDS[grid]
         axes = _axes(*argv)
-        seen = {}
+        with pytest.raises(error) as want:
+            reference_rows(axes)
 
-        def counted(name, classify):
-            def wrapper(*args):
-                seen[name] = seen.get(name, 0) + 1
-                return classify(*args)
-            return wrapper
+        def unreachable(*args):
+            raise AssertionError("a point was solved")
 
-        monkeypatch.setattr(cli, "classify_equilibrium", counted("engine", cli.classify_equilibrium))
-        monkeypatch.setattr(
-            reference, "classify_equilibrium", counted("reference", reference.classify_equilibrium)
-        )
+        monkeypatch.setattr(cli, "classify_equilibrium", unreachable)
+        monkeypatch.setattr(cli, "pooling_candidates", unreachable)
         with warnings.catch_warnings():
             # Out-of-box values must not leak numpy float warnings.
             warnings.simplefilter("error")
-            with pytest.raises(error) as want:
-                reference_rows(axes)
             with pytest.raises(error) as got:
                 rows(axes, Counter())
+            out = tmp_path / "out.csv"
+            command = "regions" if rows is cli._region_rows else "sweep"
+            assert cli.main([command, *argv, "--out", str(out)]) == 2
+            assert cli.main([command, *argv]) == 2
         assert str(got.value) == str(want.value)
-        assert seen["engine"] == seen["reference"] > cli.GRID_CHUNK
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"splab: error: {want.value}\n" * 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(axes=refusable_axes())
+    @example(axes={
+        "h": [0.5, 1.0], "lambda": [0.0, 0.3], "v_B": [0.1],
+        "gamma": [0.5, 0.3], "mu0": [0.5, 1.5],
+    })
+    @example(axes={
+        "h": [0.7], "lambda": [0.0, -0.0], "v_B": [0.1, 0.2],
+        "gamma": [0.5, 0.3], "mu0": [0.5, 0.2],
+    })
+    @example(axes={
+        "h": [0.5, 0.7], "lambda": [0.0, 0.3], "v_B": [0.1],
+        "gamma": [0.5], "mu0": [0.5, 0.2],
+    })
+    def test_refused_grids_match_reference(self, axes):
+        # Out-of-box values and lam > 0 off the baseline at random axis
+        # positions: the engine raises what the per-point reference raises,
+        # before it classifies any point, or builds the same rows where the
+        # reference refuses none.
+        def outcome(build):
+            try:
+                return "rows", list(map(repr, build()))
+            except (ParameterError, UnsupportedVariantError) as exc:
+                return type(exc).__name__, str(exc)
+
+        classified = []
+        engine = cli.classify_equilibrium
+
+        def counted(*args):
+            classified.append(args)
+            return engine(*args)
+
+        want = outcome(lambda: reference.region_rows(axes))
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+            warnings.simplefilter("error")
+            patch.setattr(cli, "classify_equilibrium", counted)
+            got = outcome(lambda: cli._region_rows(axes, Counter()))
+        assert got == want
+        assert len(classified) == (len(want[1]) if want[0] == "rows" else 0)
 
 
 def _stdout(argv: list[str]) -> bytes:
@@ -312,10 +388,11 @@ def test_output_matches_recorded_digest(call):
 class TestMemory:
     def test_region_rows_peak_near_scalar_path(self):
         axes = _axes("--h", "0.5:1:201", "--lambda", "0:1:201", "--vb", "0.22")
-        cli._region_rows(axes, Counter())  # fill the caches outside the measurement
+        list(cli._region_rows(axes, Counter()))  # fill the caches outside the measurement
         tracemalloc.start()
         try:
-            rows = cli._region_rows(axes, Counter())
+            # Held in one list, as the scalar path held them.
+            rows = list(cli._region_rows(axes, Counter()))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -347,10 +424,32 @@ class TestMemory:
         counts = Counter()
         tracemalloc.start()
         try:
-            rows = cli._grid_rows(axes, counts, lambda values, label, outcome: None)
+            rows = list(cli._grid_rows(axes, counts, lambda values, label, outcome: None))
         finally:
             tracemalloc.stop()
         assert len(rows) == counts["batched"] == 501 * 501
         assert len(sizes) == math.ceil(501 * 501 / cli.GRID_CHUNK) == 62
         assert max(sizes) == cli.GRID_CHUNK and len(largest) == 4
         assert max(largest) <= cli.GRID_CHUNK * np.dtype(np.float64).itemsize
+
+    def test_streamed_peak_does_not_grow_with_the_grid(self, tmp_path):
+        # A 3-chunk and a 10-chunk map, each written to a file: every chunk
+        # is solved, formatted and written before the next, so the traced
+        # peak of the whole command holds about two chunks either way.
+        # Each chunk is one full lambda sweep at an h in a narrow band, so
+        # the chunks hold alike (a chunk's share of the peak varies by some
+        # hundred kB over h in [0.5, 1]).
+        def peak(steps: int) -> int:
+            argv = ["regions", "--h", f"0.7:0.75:{steps}", "--lambda", "0:1:4096",
+                    "--vb", "0.22", "--out", str(tmp_path / f"{steps}.csv")]
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert cli.GRID_CHUNK == 4096
+        peak(3)  # fill the caches outside the measurement
+        small, large = peak(3), peak(10)
+        assert abs(large - small) <= 256 * 1024, (small, large)

@@ -38,7 +38,7 @@ from splab import (
     w_bar,
     wtp_from_posterior,
 )
-from splab.model import Record
+from splab.model import FIELD_RANGES, Record
 
 GH = Signal(Valence.GOOD, Precision.HIGH)
 BH = Signal(Valence.BAD, Precision.HIGH)
@@ -244,6 +244,27 @@ class TestValidation:
             ModelParams(h=0.8, lam=0.0, v_B=0.0, l=0.4)
         with pytest.raises(TypeError):
             ModelParams(h=0.8, lam=0.0, v_B=0.0, v_G=0.9)
+
+    @given(st.lists(
+        st.one_of(
+            st.sampled_from([-0.0, 0.0, 5e-324, 0.5, 0.49999999999999994, 1.0,
+                             1.0000000000000002, 0.9999999999999999]),
+            st.floats(-0.5, 1.5),
+        ),
+        min_size=5, max_size=5,
+    ))
+    def test_fast_check_admits_what_field_ranges_admit(self, values):
+        # __post_init__ writes FIELD_RANGES' tests out for speed; a float
+        # point passes it exactly when every field passes its range.
+        admitted = all(
+            in_range(value) for (in_range, _), value in zip(FIELD_RANGES.values(), values)
+        )
+        try:
+            ModelParams(*values)
+        except ParameterError:
+            assert not admitted
+        else:
+            assert admitted
 
     def test_to_dict_uses_lambda_key(self):
         d = ModelParams(h=0.8, lam=0.25, v_B=0.1).to_dict()

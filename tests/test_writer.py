@@ -6,9 +6,10 @@ replaced (`csv.writer` over `fmt`, one `json.dumps(..., indent=2)`).  Tables
 are drawn from a small pool of cells per test, so values repeat within a
 column, and the pool mixes the cells a formatter keyed on values could
 confuse: 0.0 with -0.0, 1 with 1.0, NaN, and the infinities.  The writer
-formats at most GRID_CHUNK rows at a time, so deterministic tables of more
-rows cross chunk boundaries, with shared and distinct cell objects, as a
-grid's axis and profit columns hold them.
+formats at most GRID_CHUNK rows at a time, and writes them before it pulls
+the next chunk, so deterministic tables of more rows cross chunk boundaries,
+with shared and distinct cell objects, as a grid's axis and profit columns
+hold them.
 """
 
 from __future__ import annotations
@@ -146,3 +147,28 @@ def test_grid_sized_tables_match_reference(fmt, size, tmp_path):
     want = _stdout(reference.write_rows, rows, GRID_COLUMNS, fmt)
     assert _stdout(_write_rows, rows, GRID_COLUMNS, fmt) == want
     assert _file(_write_rows, rows, GRID_COLUMNS, fmt, tmp_path / "out") == want.encode()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_each_chunk_is_written_before_the_next_is_pulled(fmt):
+    # The writer takes any iterable and holds one chunk at a time: when it
+    # pulls the first row of chunk k, exactly the CSV header and chunks
+    # 0..k-1 are written.
+    rows = _grid_table(2 * GRID_CHUNK + 7)
+    buffer = io.StringIO()
+    written = []
+
+    def pulled():
+        for k, row in enumerate(rows):
+            if k % GRID_CHUNK == 0:
+                written.append(len(buffer.getvalue()))
+            yield row
+
+    with contextlib.redirect_stdout(buffer):
+        _write_rows(pulled(), GRID_COLUMNS, argparse.Namespace(out=None, format=fmt))
+    assert buffer.getvalue() == _stdout(reference.write_rows, rows, GRID_COLUMNS, fmt)
+    closing = len("\n]\n") if fmt == "json" else 0
+    assert written == [
+        len(_stdout(reference.write_rows, rows[:k * GRID_CHUNK], GRID_COLUMNS, fmt)) - closing
+        for k in (0, 1, 2)
+    ]
