@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import itertools
 import json
 import math
@@ -42,7 +43,7 @@ import time
 from collections import Counter
 from dataclasses import astuple, fields
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,6 +69,7 @@ from .model import (
 )
 from .oracle import (
     bisect_threshold,
+    consumer_cells,
     demand_by_enumeration,
     grid_argmax,
     simulate_market,
@@ -101,9 +103,9 @@ MAX_GRID_POINTS = 10**6
 #: Largest `verify --seed`: the Monte-Carlo check seeds its runs with
 #: seed + 0..5, and a Philox key must stay below 2**128.
 MAX_VERIFY_SEED = 2**128 - 6
-#: Largest `verify --draws`.  At this bound `verify --seed 0` takes 10 s on
-#: a 2-vCPU x86-64 machine, and up to about twice that where all six
-#: Monte-Carlo runs have a sample SE (each such run is simulated twice).
+#: Largest `verify --draws`.  At this bound `verify --seed 0` takes 17 s on
+#: a 2-vCPU x86-64 machine: each of its six Monte-Carlo runs has a sample SE,
+#: and each such run is simulated twice.
 MAX_VERIFY_DRAWS = 10**8
 #: Two-sided tail beyond 4 sigma, the Monte-Carlo check's bound on an
 #: all-bought or none-bought run, which has no sample SE.
@@ -128,13 +130,13 @@ THRESHOLD_COLUMNS = ("h", "lambda", "v_B", *(f.name for f in fields(ThresholdSet
 def _texts(values: list, as_json: bool) -> list:
     """The cell texts of values that are all str, all int or all float.
 
-    CSV prints a number with 12 significant digits and a str as itself;
-    JSON prints them as `json.dumps` does, a float after rounding to those
-    12 digits.  Each kind is one C-level map over the list.
+    CSV prints a number with 12 significant digits and a str as csv.writer
+    quotes it (`_csv_field`); JSON prints them as `json.dumps` does, a float
+    after rounding to those 12 digits.  Each kind is one map over the list.
     """
     first = values[0]
     if isinstance(first, str):
-        return list(map(encode_basestring_ascii, values)) if as_json else values
+        return list(map(encode_basestring_ascii if as_json else _csv_field, values))
     if as_json and isinstance(first, int):
         return list(map(int.__repr__, values))
     texts = list(map("%.12g".__mod__, values))
@@ -153,7 +155,23 @@ def _json_float(text: str) -> str:
     return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
 
 
-def _column_texts(values: tuple, as_json: bool) -> list:
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer prints it beside other fields of a row: quoted
+    where QUOTE_MINIMAL quotes it, by the rules of the running Python."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow((text, None))
+    return line.getvalue()[:-2]
+
+
+def _csv_lines(columns: Sequence[list]) -> str:
+    """The CSV lines of cell texts given column by column.  A row whose one
+    field is empty prints as '""', as csv.writer prints it."""
+    if len(columns) == 1:
+        columns = [[text or '""' for text in columns[0]]]
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+def _column_texts(values: Sequence, as_json: bool) -> list:
     """One column's cell texts, each distinct cell formatted once.
 
     A cell is None, a str, an int or a float; None prints as '' or null.
@@ -232,8 +250,11 @@ def _load_config(path: Optional[str]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers malformed JSON and text that is not UTF-8.
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError(f"cannot read config {path}: it nests too deeply") from exc
     if not isinstance(config, dict):
         raise UsageError(f"config {path} must hold a JSON object")
     unknown = set(config) - CONFIG_KEYS
@@ -269,18 +290,36 @@ def _resolve_axes(args, config: dict) -> dict[str, list[float]]:
     }
 
 
+class AxisColumn(NamedTuple):
+    """A grid chunk's column of one axis: its cell k is `values[index[k]]`."""
+
+    values: list
+    index: np.ndarray
+
+
+def _chunk_rows(chunk: list) -> Iterator[tuple]:
+    """A chunk's rows from its columns; an AxisColumn's cells are its values
+    at its indices."""
+    return zip(*(
+        map(column.values.__getitem__, column.index.tolist())
+        if isinstance(column, AxisColumn) else column
+        for column in chunk
+    ))
+
+
 class LazyRows:
-    """Rows built as they are read: `len()` is their number, and each
-    iteration walks `chunks()`, an iterator of row lists, afresh."""
+    """Rows built as they are read: `len()` is their number, `chunks()`
+    walks them afresh as chunks of columns (`_grid_chunks`), and iterating
+    walks them afresh row by row."""
 
     def __init__(self, size: int, chunks: Callable[[], Iterator[list]]) -> None:
-        self._size, self._chunks = size, chunks
+        self._size, self.chunks = size, chunks
 
     def __len__(self) -> int:
         return self._size
 
     def __iter__(self) -> Iterator[tuple]:
-        return itertools.chain.from_iterable(self._chunks())
+        return itertools.chain.from_iterable(map(_chunk_rows, self.chunks()))
 
 
 def _refuse_grid(axes: dict[str, list[float]]) -> None:
@@ -323,21 +362,14 @@ def _refuse_grid(axes: dict[str, list[float]]) -> None:
 
 
 def _grid_rows(axes: dict[str, list[float]], counts: Counter, row) -> LazyRows:
-    """`row(values, label, outcome)` at each grid point, in product order.
+    """The grid's rows in product order: each point's axis values in
+    AXIS_ORDER, then `row(label, outcome)`, the output fields of its
+    `classify_equilibrium`.
 
-    `values` are the point's axis values in AXIS_ORDER, and `label, outcome`
-    is its `classify_equilibrium`.  A grid with a refused point raises here,
-    before any point is solved (`_refuse_grid`).  Otherwise the rows come
-    back lazily: each iteration solves the points in chunks of at most
-    GRID_CHUNK, one chunk when its first row is read, so only one chunk's
-    rows are alive at a time.  One `pooling_candidates` call takes the
-    candidate argmax at every chunk point (the baseline and the fully naive
-    market), and its arrays become lists before the chunk's first point is
-    solved.  Each chunk adds its points, which all got a candidate, to
-    `counts["batched"]` and tallies its labels in `counts`.  The values come
-    from one product over the axis lists, so the rows share the axes' float
-    objects rather than holding a new float per cell.  ModelParams is built,
-    and classify_equilibrium called, once per point.
+    A grid with a refused point raises here, before any point is solved
+    (`_refuse_grid`).  Otherwise the rows come back lazily: each walk solves
+    the points in chunks of at most GRID_CHUNK, one chunk when it is pulled,
+    so only one chunk is alive at a time (`_grid_chunks`).
     """
     _refuse_grid(axes)
     lists = [axes[axis] for axis in AXIS_ORDER]
@@ -345,42 +377,68 @@ def _grid_rows(axes: dict[str, list[float]], counts: Counter, row) -> LazyRows:
 
 
 def _grid_chunks(lists: list[list[float]], counts: Counter, row) -> Iterator[list]:
-    """The rows of `_grid_rows`, one list per chunk."""
+    """The rows of `_grid_rows`, one list of columns per chunk.
+
+    A chunk's points are the grid's flat indices start..start+chunk-1, and
+    one `np.unravel_index` call gives each axis's indices there.  An axis
+    column is the axis's value list with those indices (`AxisColumn`), so
+    the writer formats each axis value once per walk and the rows share the
+    axes' float objects.  The output columns follow (`_output_columns`).
+    """
     columns = [np.array(values) for values in lists]
     shape = tuple(map(len, columns))
     size = math.prod(shape)
     points = itertools.product(*lists)
     for start in range(0, size, GRID_CHUNK):
         chunk = min(GRID_CHUNK, size - start)
-        fields = (
-            column[index] for column, index in
-            zip(columns, np.unravel_index(np.arange(start, start + chunk), shape))
-        )
-        found, arrays = pooling_candidates(*fields)
-        # _refuse_grid let through only points that solve_pooling solves,
-        # and pooling_candidates finds a candidate at each of them.
-        assert found.all()
-        counts["batched"] += chunk
-        candidates = map(PoolingCandidate, *(array.tolist() for array in arrays))
-        rows, labels = [], []
-        for values, candidate in zip(itertools.islice(points, chunk), candidates):
-            label, outcome = classify_equilibrium(ModelParams(*values), candidate)
-            labels.append(label)
-            rows.append(row(values, label, outcome))
-        counts.update(labels)
-        yield rows
+        # unravel_index returns views of one (axes x chunk) array; a copy
+        # each keeps every buffer a chunk's column long.
+        indices = list(map(np.copy, np.unravel_index(np.arange(start, start + chunk), shape)))
+        fields = [column[index] for column, index in zip(columns, indices)]
+        outputs = _output_columns(itertools.islice(points, chunk), fields, counts, row)
+        yield [*map(AxisColumn, lists, indices), *outputs]
+
+
+def _output_columns(points: Iterator[tuple], fields: list, counts: Counter, row) -> list[list]:
+    """The columns of `row(label, outcome)` over a chunk's points.
+
+    `points` are the points' axis values and `fields` the same as arrays.
+    One `pooling_candidates` call takes the candidate argmax at every point
+    (the baseline and the fully naive market), and its arrays become lists
+    before the first point is solved.  ModelParams is built, and
+    classify_equilibrium called, once per point; only the fields `row`
+    picks from the outcome are kept.  The chunk's points, which all got a
+    candidate, are added to `counts["batched"]` and its labels tallied in
+    `counts`.
+    """
+    found, arrays = pooling_candidates(*fields)
+    # _refuse_grid let through only points that solve_pooling solves, and
+    # pooling_candidates finds a candidate at each of them.
+    assert found.all()
+    counts["batched"] += found.size
+    candidates = map(PoolingCandidate, *(array.tolist() for array in arrays))
+    # Each point's fields join one flat list, so no tuple per point outlives
+    # its point; column k is every width-th cell from cell k.
+    labels, cells = [], []
+    for values, candidate in zip(points, candidates):
+        label, outcome = classify_equilibrium(ModelParams(*values), candidate)
+        labels.append(label)
+        cells += row(label, outcome)
+    counts.update(labels)
+    width = len(cells) // len(labels)
+    return [cells[k::width] for k in range(width)]
 
 
 def _solve_rows(axes: dict[str, list[float]], counts: Counter) -> LazyRows:
-    return _grid_rows(axes, counts, lambda values, _, out: (
-        *values, out.kind, out.price, out.low_price, out.alpha,
+    return _grid_rows(axes, counts, lambda _, out: (
+        out.kind, out.price, out.low_price, out.alpha,
         out.profit_G, out.profit_B, out.region, out.candidate_level,
     ))
 
 
 def _region_rows(axes: dict[str, list[float]], counts: Counter) -> LazyRows:
-    return _grid_rows(axes, counts, lambda values, label, out: (
-        *values, label, out.price, out.profit_G, out.profit_B,
+    return _grid_rows(axes, counts, lambda label, out: (
+        label, out.price, out.profit_G, out.profit_B,
     ))
 
 
@@ -391,10 +449,16 @@ def _compare_rows(axes: dict[str, list[float]]) -> list[tuple]:
     if len(axes["v_B"]) != 1:
         raise UsageError("compare needs a scalar --vb")
     gamma, mu0, v_B = axes["gamma"][0], axes["mu0"][0], axes["v_B"][0]
+    if gamma != BASE or mu0 != BASE:
+        # Its lambda=1 market exists only on the symmetric baseline.
+        raise UsageError(
+            f"compare needs --gamma {BASE} and --mu0 {BASE}, the symmetric baseline "
+            f"on which it solves lambda=1; got gamma={gamma!r}, mu0={mu0!r}"
+        )
     rows = []
     for h in axes["h"]:
-        naive = ModelParams(h=h, lam=0.0, v_B=v_B, gamma=gamma, mu0=mu0)
-        soph = ModelParams(h=h, lam=1.0, v_B=v_B, gamma=gamma, mu0=mu0)
+        naive = ModelParams(h=h, lam=0.0, v_B=v_B)
+        soph = ModelParams(h=h, lam=1.0, v_B=v_B)
         report = compare_markets(naive, soph)
         naive_out, soph_out = report.naive, report.sophisticated
         rows.append(
@@ -442,18 +506,29 @@ def _output(out: Optional[str]):
             fh.close()
 
 
+def _column_chunks(rows: Iterable[tuple]) -> Iterator[list]:
+    """`rows` as chunks of at most GRID_CHUNK rows, each a list of columns:
+    a LazyRows' own chunks, or any other rows transposed chunk by chunk."""
+    if isinstance(rows, LazyRows):
+        return rows.chunks()
+    rows = iter(rows)
+    return iter(lambda: list(zip(*itertools.islice(rows, GRID_CHUNK))), [])
+
+
 def _write_rows(rows: Iterable[tuple], columns: Sequence[str], args) -> float:
     """Write rows, tuples in the order of `columns`, as CSV or JSON, and
     return the seconds spent waiting for them.
 
-    The CSV prints each number with 12 significant digits.  The JSON equals
-    `json.dumps(..., indent=2)` of a list holding one object per row, each
-    float rounded to those 12 digits, plus a newline.  Rows are pulled
-    GRID_CHUNK at a time, and each chunk is formatted column by column
-    (`_column_texts`) and written before the next is pulled, so a lazy grid
-    (`_grid_rows`) is solved, formatted and written one chunk at a time.
-    `csv.writer` writes a CSV chunk's texts, and a JSON chunk is written
-    from one row template.
+    The CSV prints each number with 12 significant digits, and quotes a str
+    as csv.writer does.  The JSON equals `json.dumps(..., indent=2)` of a
+    list holding one object per row, each float rounded to those 12 digits,
+    plus a newline.  Rows are pulled as chunks of columns (`_column_chunks`),
+    and each chunk is formatted column by column (`_column_texts`) and
+    written before the next is pulled, so a lazy grid (`_grid_rows`) is
+    solved, formatted and written one chunk at a time.  An axis column
+    (`AxisColumn`) takes its texts by index from its axis's, formatted once
+    per call.  A CSV chunk's lines are joined from its texts (`_csv_lines`),
+    and a JSON chunk is written from one row template.
 
     Failing to open, write or close --out is a UsageError, and a failed
     stdout write a StdoutError; an error raised while pulling rows
@@ -464,25 +539,36 @@ def _write_rows(rows: Iterable[tuple], columns: Sequence[str], args) -> float:
     template = "  {\n%s\n  }" % ",\n".join(
         "    %s: %%s" % encode_basestring_ascii(name).replace("%", "%%") for name in columns
     )
-    rows = iter(rows)
+    # Keyed by the id of an axis's value list, which every chunk shares and
+    # the chunks' generator keeps alive while this call runs.
+    axis_texts: dict[int, np.ndarray] = {}
+
+    def texts(column) -> list:
+        if not isinstance(column, AxisColumn):
+            return _column_texts(column, as_json)
+        key = id(column.values)
+        if key not in axis_texts:
+            axis_texts[key] = np.array(_column_texts(column.values, as_json), dtype=object)
+        return axis_texts[key][column.index].tolist()
+
+    chunks = _column_chunks(rows)
     opener, waited = "[\n", 0.0
     with _output(args.out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
         if not as_json:
             with _writing(args.out):
-                writer.writerow(columns)
+                fh.write(_csv_lines([[_csv_field(name)] for name in columns]))
         while True:
             pulled = time.perf_counter()
-            chunk = list(itertools.islice(rows, GRID_CHUNK))
+            chunk = next(chunks, None)
             waited += time.perf_counter() - pulled
-            if not chunk:
+            if chunk is None:
                 break
-            texts = zip(*(_column_texts(column, as_json) for column in zip(*chunk)))
+            cells = list(map(texts, chunk))
             with _writing(args.out):
                 if as_json:
-                    fh.write(opener + ",\n".join(map(template.__mod__, texts)))
+                    fh.write(opener + ",\n".join(map(template.__mod__, zip(*cells))))
                 else:
-                    writer.writerows(texts)
+                    fh.write(_csv_lines(cells))
             opener = ",\n"
         if as_json:
             with _writing(args.out):
@@ -671,7 +757,10 @@ def _check_monte_carlo(rng: np.random.Generator, draws: int, seed: int) -> tuple
     for k in range(6):
         params = _random_base_params(rng)
         quality = Quality.G if k % 2 == 0 else Quality.B
-        price = float(rng.uniform(0.0, 1.0))
+        # A price between the lowest and the highest cell WTP leaves some
+        # consumers out and lets some buy, so the run has a sample SE.
+        wtps = [wtp for _, wtp in consumer_cells(params, quality)]
+        price = float(rng.uniform(min(wtps), max(wtps)))
         report = simulate_market(params, quality, price, draws=draws, seed=seed + k)
         analytic = float(demand_by_enumeration(params, quality, price))
         if report.se_demand == 0.0:

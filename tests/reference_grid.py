@@ -2,10 +2,13 @@
 
 These are the bodies `splab.cli._solve_rows` and `splab.cli._region_rows`
 had before the grid was walked in chunks whose baseline candidates come from
-one numpy pass.  Every point builds its ModelParams and calls
-`classify_equilibrium(params)`, which takes the candidate argmax itself.
-They live in the tests only, where the chunked rows must equal them bit for
-bit and fail with the same exception at the same point.
+one numpy pass, and whose columns reach the writer with each axis as its
+value list and the chunk's indices.  Every point builds its ModelParams and
+calls `classify_equilibrium(params)`, which takes the candidate argmax
+itself, and its row is one tuple.  They live in the tests only, where the
+chunked rows must equal them bit for bit and fail with the same exception
+at the same point, and their bytes through `reference_writer.py` must equal
+the chunks' through the column writer.
 """
 
 from __future__ import annotations

@@ -209,6 +209,16 @@ class TestCompare:
             assert captured.out == ""
             assert captured.err.startswith("splab: error:")
 
+    @pytest.mark.parametrize("flag", ["--gamma", "--mu0"])
+    def test_off_baseline_gamma_or_mu0_rejected(self, flag, capsys):
+        # Its lambda=1 market is solved on the symmetric baseline only, so
+        # the error names compare, not a lambda the user never gave.
+        code = main(["compare", "--h", "0.5:1:3", "--vb", "0.3", flag, "0.3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("splab: error: compare needs --gamma 0.5 and --mu0 0.5")
+        assert "lam=" not in captured.err
+
 
 class TestThresholdsCommand:
     def test_single_object_row(self, capsys):

@@ -16,6 +16,7 @@ writer.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -32,6 +33,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_candidate
 import reference_grid as reference
+import reference_writer
 import splab.cli as cli
 import splab.equilibrium as equilibrium
 from splab import ModelParams, UnsupportedVariantError, best_pooling_candidate
@@ -369,6 +371,91 @@ class TestGridRows:
         assert len(classified) == (len(want[1]) if want[0] == "rows" else 0)
 
 
+def _signed_axes(*argv: str) -> dict[str, list[float]]:
+    """The axes of `argv`, with lambda's first value -0.0 where its text
+    starts '-0': np.linspace turns a -0 end into 0.0, so no CLI axis holds
+    -0.0, but the row builders take any axes."""
+    axes = _axes(*argv)
+    if any(arg.startswith("--lambda=-0") for arg in argv):
+        axes["lambda"][0] = -0.0
+    return axes
+
+
+#: A grid of more than one chunk that holds every label, with lambda
+#: swept from -0.0.
+EVERY_LABEL_AXES = _signed_axes("--h", "0.5:1:41", "--lambda=-0:1:11", "--vb", "0:0.9:10")
+#: Each grid row builder, its per-point reference and its columns.
+WRITTEN = (
+    (cli._region_rows, reference.region_rows, cli.REGION_COLUMNS),
+    (cli._solve_rows, reference.solve_rows, cli.SOLVE_COLUMNS),
+)
+
+
+@st.composite
+def crossing_grids(draw):
+    """The axes of a grid of GRID_CHUNK + 1 to about 2.5 GRID_CHUNK points.
+
+    h is swept; lambda is a scalar (+-0 among them) or swept from 0 or -0;
+    v_B is a scalar or swept; gamma and mu0 are swept only beside a scalar
+    zero lambda, the fully naive market.  The last swept axis gets the
+    steps that carry the grid past one chunk.
+    """
+    lam = draw(st.sampled_from(["-0:1", "0:1", "-0", "0", "0.3", "1"]))
+    swept = {"h": "0.5:1", "lambda": lam if ":" in lam else None}
+    if draw(st.booleans()):
+        swept["v_B"] = "0:0.95"
+    if lam in ("-0", "0"):
+        for axis in ("gamma", "mu0"):
+            if draw(st.booleans()):
+                swept[axis] = "0.05:0.95"
+    names = [axis for axis, sweep in swept.items() if sweep]
+    steps = {axis: draw(st.integers(2, 12)) for axis in names[:-1]}
+    others = math.prod(steps.values())
+    steps[names[-1]] = -(-(cli.GRID_CHUNK + 1) // others) + draw(
+        st.integers(0, cli.GRID_CHUNK // others)
+    )
+    argv = [f"--lambda={lam}"]
+    if "v_B" not in swept:
+        argv += ["--vb", draw(st.sampled_from(["0", "0.1", "0.22", "0.3", "0.6"]))]
+    for axis, count in steps.items():
+        argv.append(f"--{cli.AXIS_FLAGS[axis][0]}={swept[axis]}:{count}")
+    return _signed_axes(*argv)
+
+
+def _written(writer, rows, columns, fmt: str) -> list[str]:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        writer(rows, columns, argparse.Namespace(out=None, format=fmt))
+    return buffer.getvalue().splitlines()
+
+
+class TestColumnWriter:
+    """Grid chunks go to the writer as columns, an axis column as its axis's
+    values and the chunk's indices; the bytes equal the per-point reference
+    rows written by the reference writer."""
+
+    def test_every_label_grid(self):
+        counts = Counter()
+        list(cli._region_rows(EVERY_LABEL_AXES, counts))
+        assert set(counts) - {"batched"} == {"R1", "R2", "R3", "R4", "mixed", "none"}
+        assert counts["batched"] > cli.GRID_CHUNK
+        assert math.copysign(1.0, EVERY_LABEL_AXES["lambda"][0]) == -1.0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rows, reference_rows, columns", WRITTEN)
+    @settings(max_examples=5, deadline=None)
+    @given(axes=crossing_grids())
+    @example(axes=EVERY_LABEL_AXES)
+    def test_written_grid_equals_reference(self, fmt, rows, reference_rows, columns, axes):
+        assert math.prod(map(len, axes.values())) > cli.GRID_CHUNK
+        got = _written(cli._write_rows, rows(axes, Counter()), columns, fmt)
+        want = _written(reference_writer.write_rows, reference_rows(axes), columns, fmt)
+        # The first line that differs, not a diff of thousands of lines.
+        first = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        assert first is None, (first, got[first], want[first])
+        assert len(got) == len(want)
+
+
 def _stdout(argv: list[str]) -> bytes:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
@@ -424,7 +511,7 @@ class TestMemory:
         counts = Counter()
         tracemalloc.start()
         try:
-            rows = list(cli._grid_rows(axes, counts, lambda values, label, outcome: None))
+            rows = list(cli._grid_rows(axes, counts, lambda label, outcome: ()))
         finally:
             tracemalloc.stop()
         assert len(rows) == counts["batched"] == 501 * 501
