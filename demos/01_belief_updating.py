@@ -8,7 +8,6 @@ is the whole engine of the model, so print it for a sweep of h.
 import numpy as np
 
 from splab import (
-    ConsumerType,
     ModelParams,
     Precision,
     Signal,

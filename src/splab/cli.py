@@ -103,9 +103,9 @@ MAX_GRID_POINTS = 10**6
 #: Largest `verify --seed`: the Monte-Carlo check seeds its runs with
 #: seed + 0..5, and a Philox key must stay below 2**128.
 MAX_VERIFY_SEED = 2**128 - 6
-#: Largest `verify --draws`.  At this bound `verify --seed 0` takes 17 s on
-#: a 2-vCPU x86-64 machine: each of its six Monte-Carlo runs has a sample SE,
-#: and each such run is simulated twice.
+#: Largest `verify --draws`.  At this bound `verify --seed 0` takes 9.0 s on
+#: a 2-vCPU x86-64 machine, most of it its six Monte-Carlo runs, each
+#: simulated once.
 MAX_VERIFY_DRAWS = 10**8
 #: Two-sided tail beyond 4 sigma, the Monte-Carlo check's bound on an
 #: all-bought or none-bought run, which has no sample SE.
@@ -404,18 +404,15 @@ def _output_columns(points: Iterator[tuple], fields: list, counts: Counter, row)
 
     `points` are the points' axis values and `fields` the same as arrays.
     One `pooling_candidates` call takes the candidate argmax at every point
-    (the baseline and the fully naive market), and its arrays become lists
-    before the first point is solved.  ModelParams is built, and
-    classify_equilibrium called, once per point; only the fields `row`
-    picks from the outcome are kept.  The chunk's points, which all got a
-    candidate, are added to `counts["batched"]` and its labels tallied in
-    `counts`.
+    (the baseline and the fully naive market, the only points
+    `_refuse_grid` lets through), and its arrays become lists before the
+    first point is solved.  ModelParams is built, and classify_equilibrium
+    called, once per point; only the fields `row` picks from the outcome
+    are kept.  The chunk's size is added to `counts["batched"]` and its
+    labels tallied in `counts`.
     """
-    found, arrays = pooling_candidates(*fields)
-    # _refuse_grid let through only points that solve_pooling solves, and
-    # pooling_candidates finds a candidate at each of them.
-    assert found.all()
-    counts["batched"] += found.size
+    arrays = pooling_candidates(*fields)
+    counts["batched"] += len(arrays[0])
     candidates = map(PoolingCandidate, *(array.tolist() for array in arrays))
     # Each point's fields join one flat list, so no tuple per point outlives
     # its point; column k is every width-th cell from cell k.
@@ -778,9 +775,6 @@ def _check_monte_carlo(rng: np.random.Generator, draws: int, seed: int) -> tuple
             continue
         gap = abs(report.est_demand - analytic)
         worst_sigma = max(worst_sigma, gap / report.se_demand)
-        twin = simulate_market(params, quality, price, draws=draws, seed=seed + k)
-        if twin.to_json() != report.to_json():
-            return False, "identical seeds produced different reports"
     with_se = 6 - all_or_none
     detail = (
         f"max |error|/SE = {worst_sigma:.2f} over {with_se} run{'s' * (with_se != 1)}"

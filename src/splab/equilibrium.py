@@ -215,20 +215,21 @@ def naive_candidates(h, v_B, gamma, mu0) -> tuple[np.ndarray, ...]:
     return _argmaxes(*_naive_set(*np.broadcast_arrays(h, v_B, gamma, mu0)))
 
 
-def pooling_candidates(h, lam, v_B, gamma, mu0) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def pooling_candidates(h, lam, v_B, gamma, mu0) -> tuple[np.ndarray, ...]:
     """The candidate solve_pooling takes at each of many points, as arrays.
 
     The five fields are float arrays of one shape; they are not validated.
     Points are routed as solve_pooling routes them: baseline points
-    (gamma = mu0 = BASE) to best_pooling_candidates, fully naive points off
-    the baseline (lam == 0) to naive_candidates, and the rest, which
-    solve_pooling refuses, to none.  Returns (found, fields): `found` marks
-    the points with a candidate, and `fields` holds (price, level, profit_G,
-    profit_B) for those points only, in order.
+    (gamma = mu0 = BASE) to best_pooling_candidates, the rest to
+    naive_candidates, the fully naive market.  Off the baseline
+    solve_pooling refuses lam != 0, and so does `cli._refuse_grid` before
+    any point of a grid is solved, so no such point may reach here.
+    Returns (price, level, profit_G, profit_B) at every point, as
+    best_pooling_candidates and naive_candidates do.
     """
     base = (gamma == BASE) & (mu0 == BASE)
-    naive = ~base & (lam == 0.0)
-    found = base | naive
+    naive = ~base
+    assert (lam[naive] == 0.0).all(), "lam != 0 off the baseline has no candidate"
     fields = tuple(np.empty(h.shape, dtype) for dtype in (float, object, float, float))
     for mask, computed in (
         (base, best_pooling_candidates(h[base], lam[base], v_B[base])),
@@ -236,7 +237,7 @@ def pooling_candidates(h, lam, v_B, gamma, mu0) -> tuple[np.ndarray, tuple[np.nd
     ):
         for field, values in zip(fields, computed):
             field[mask] = values
-    return found, tuple(field[found] for field in fields)
+    return fields
 
 
 def solve_pooling(
@@ -294,10 +295,13 @@ def solve_mixed(params: ModelParams) -> EquilibriumOutcome:
     """Partially separating equilibrium of the fully naive market (lam = 0).
 
     The low type mixes between the revealing price v_B (weight 1 - alpha)
-    and the high price p_bar charged by the high type.  Indifference pins
-    p_bar * (3-2h)/4 = v_B, and belief consistency at p_bar pins
-    alpha = 1/v_B - 4/(3-2h).  Feasible exactly when that alpha lands in
-    (0, 1), i.e. v_B inside ((3-2h)/(7-2h), (3-2h)/4).
+    and the high price p_bar charged by the high type.  At lam = 0 only
+    the naive good-signal buyers (rung 4) pay p_bar: the ladder's rung-4
+    coverages c_B = cov_B[3] = (3-2h)/4 under B and c_G = cov_G[3] =
+    (1+2h)/4 under G.  Indifference pins p_bar * c_B = v_B, belief
+    consistency at p_bar pins alpha = 1/v_B - 1/c_B, and the high type
+    earns p_bar * c_G.  Feasible exactly when that alpha lands in (0, 1),
+    i.e. v_B inside (c_B/(1+c_B), c_B).
     """
     if params.lam != 0.0:
         raise UnsupportedVariantError(
@@ -305,15 +309,15 @@ def solve_mixed(params: ModelParams) -> EquilibriumOutcome:
             f"lam={params.lam}"
         )
     _require_base(params, "solve_mixed")
-    h, v = params.h, params.v_B
-    lo = (3.0 - 2.0 * h) / (7.0 - 2.0 * h)
-    hi = (3.0 - 2.0 * h) / 4.0
+    _, cov_G, cov_B = ladder_fields(params.h, params.lam, params.v_B)
+    v = params.v_B
+    lo, hi = cov_B[3] / (1.0 + cov_B[3]), cov_B[3]
     if v <= 0.0:
         return EquilibriumOutcome(
             kind=KIND_NONE,
             note=f"mixing requires v_B in ({lo:.6g}, {hi:.6g}); got v_B={v}",
         )
-    alpha = 1.0 / v - 4.0 / (3.0 - 2.0 * h)
+    alpha = 1.0 / v - 1.0 / cov_B[3]
     if not 0.0 < alpha < 1.0:
         return EquilibriumOutcome(
             kind=KIND_NONE,
@@ -322,13 +326,13 @@ def solve_mixed(params: ModelParams) -> EquilibriumOutcome:
                 f"feasibility band is v_B in ({lo:.6g}, {hi:.6g})"
             ),
         )
-    p_bar = 4.0 * v / (3.0 - 2.0 * h)
+    p_bar = v / cov_B[3]
     return EquilibriumOutcome(
         kind=KIND_MIXED,
         price=p_bar,
         low_price=v,
         alpha=alpha,
-        profit_G=p_bar * (1.0 + 2.0 * h) / 4.0,
+        profit_G=p_bar * cov_G[3],
         profit_B=v,
     )
 

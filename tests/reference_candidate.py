@@ -11,6 +11,10 @@ lives in the tests only, where the fast argmax must equal it bit for bit.
 `splab.equilibrium._naive_candidate` computed it before its posteriors
 became one body for floats and arrays: `_bayes` guards a zero denominator
 with a branch.
+
+`solve_mixed` is `splab.equilibrium.solve_mixed` as it priced the mixing
+band before it read rung 4's coverages off the ladder: (3-2h)/4 and
+(1+2h)/4 written out by hand.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from splab import ModelParams, Quality, build_wtp_schedule, expected_demand
-from splab.equilibrium import PoolingCandidate
+from splab.equilibrium import EquilibriumOutcome, PoolingCandidate
 from splab.model import L, V_G
 
 
@@ -58,3 +62,32 @@ def naive_candidate(params: ModelParams) -> PoolingCandidate:
     if p_low >= profit_high:
         return PoolingCandidate(p_low, 2, p_low, p_low)
     return PoolingCandidate(p_high, 4, profit_high, p_high * (1.0 - wb))
+
+
+def solve_mixed(params: ModelParams) -> EquilibriumOutcome:
+    h, v = params.h, params.v_B
+    lo = (3.0 - 2.0 * h) / (7.0 - 2.0 * h)
+    hi = (3.0 - 2.0 * h) / 4.0
+    if v <= 0.0:
+        return EquilibriumOutcome(
+            kind="none",
+            note=f"mixing requires v_B in ({lo:.6g}, {hi:.6g}); got v_B={v}",
+        )
+    alpha = 1.0 / v - 4.0 / (3.0 - 2.0 * h)
+    if not 0.0 < alpha < 1.0:
+        return EquilibriumOutcome(
+            kind="none",
+            note=(
+                f"mixing weight {alpha:.6g} falls outside (0, 1); the "
+                f"feasibility band is v_B in ({lo:.6g}, {hi:.6g})"
+            ),
+        )
+    p_bar = 4.0 * v / (3.0 - 2.0 * h)
+    return EquilibriumOutcome(
+        kind="mixed",
+        price=p_bar,
+        low_price=v,
+        alpha=alpha,
+        profit_G=p_bar * (1.0 + 2.0 * h) / 4.0,
+        profit_B=v,
+    )

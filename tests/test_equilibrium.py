@@ -113,7 +113,48 @@ class TestSolvePooling:
         ]
 
 
+def _mixing_edges() -> list[tuple[float, float]]:
+    """(h, v_B) at the edges of the mixing band: h at 1/2 and 1 and one ulp
+    inside each; v_B at each band end, one ulp either side of it, and at 0,
+    the smallest subnormal and one ulp below 1."""
+    points = []
+    for h in (0.5, 0.5 + 2**-53, 1.0 - 2**-53, 1.0):
+        for end in ((3.0 - 2.0 * h) / (7.0 - 2.0 * h), (3.0 - 2.0 * h) / 4.0):
+            points += [(h, math.nextafter(end, 0.0)), (h, end), (h, math.nextafter(end, 1.0))]
+        points += [(h, v) for v in (0.0, 5e-324, 1.0 - 2**-53)]
+    return points
+
+
+MIXING_EDGES = _mixing_edges()
+
+
 class TestSolveMixed:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(edge_hs, st.one_of(
+            # Over h in [1/2, 1] the band spans (0.2, 0.5).
+            st.floats(min_value=0.2, max_value=0.5),
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        )),
+        min_size=1, max_size=20,
+    ))
+    @example(MIXING_EDGES)
+    def test_equals_closed_form_reference(self, points):
+        # Rung 4's coverages read off the ladder give the closed form's
+        # floats at both signs of a zero lam; repr tells -0.0 from 0.0.
+        fields = ("kind", "price", "low_price", "alpha", "profit_G", "profit_B")
+        for h, v in points:
+            for lam in (0.0, -0.0):
+                got, want = (
+                    [getattr(solve(ModelParams(h=h, lam=lam, v_B=v)), f) for f in fields]
+                    for solve in (solve_mixed, reference.solve_mixed)
+                )
+                assert repr(got) == repr(want), (h, lam, v)
+
+    def test_edges_reach_the_mixed_band(self):
+        kinds = {solve_mixed(ModelParams(h=h, lam=0.0, v_B=v)).kind for h, v in MIXING_EDGES}
+        assert kinds == {"mixed", "none"}
+
     def test_worked_example(self):
         out = solve_mixed(ModelParams(h=1.0, lam=0.0, v_B=0.22))
         assert out.kind == "mixed"

@@ -5,13 +5,14 @@ and takes each chunk's candidates in one `pooling_candidates` call: the
 baseline argmax (`best_pooling_candidates`) and the fully naive market's
 (`naive_candidates`).  These tests hold both passes to the scalar
 `best_pooling_candidate` and `_naive_candidate` over the whole parameter
-box, hold the two scans both passes share (`_argmax` on floats, `_argmaxes`
-on arrays) to each other on crafted candidates, hold the rows to the
-per-point bodies in `reference_grid.py` (a grid with a refused point must
-raise the reference's error before it solves any point), hold the CLI bytes
-to digests recorded before each pass was batched, and bound the memory the
-chunks take, which must not grow with the grid now that rows stream to the
-writer.
+box, and the router to the same scalar argmaxes on arrays that mix both
+kinds of point; they hold the two scans both passes share (`_argmax` on
+floats, `_argmaxes` on arrays) to each other on crafted candidates, hold
+the rows to the per-point bodies in `reference_grid.py` (a grid with a
+refused point must raise the reference's error before it solves any
+point), hold the CLI bytes to digests recorded before each pass was
+batched, and bound the memory the chunks take, which must not grow with
+the grid now that rows stream to the writer.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from splab.equilibrium import (
     _naive_candidate,
     best_pooling_candidates,
     naive_candidates,
+    pooling_candidates,
 )
 from splab.model import ParameterError
 
@@ -203,6 +205,46 @@ class TestNaiveCandidates:
         params = ModelParams(h=1.0, lam=0.0, v_B=0.3, gamma=1.0 - 2**-53, mu0=0.0)
         assert params.gamma * params.h + (1.0 - params.gamma) * 0.5 == 1.0
         assert _naive_candidate(params) == (0.3, 2, 0.3, 0.3)
+
+
+#: One array of each kind of point pooling_candidates routes: baseline
+#: points, fully naive ones at lam = 0 and -0.0, and gamma one ulp below
+#: 1/2, which is off the baseline.
+ROUTED_POINTS = [
+    (0.7, 0.3, 0.1, 0.5, 0.5), (1.0, -0.0, 0.22, 0.5, 0.5), (0.5, 1.0, 0.0, 0.5, 0.5),
+    (0.7, 0.0, 0.1, 0.3, 0.4), (0.9, -0.0, 0.2, 0.7, 0.5), (0.6, 0.0, 0.3, 0.5, 0.2),
+    (0.8, 0.0, 0.22, 0.49999999999999994, 0.5), (1.0, -0.0, 0.3, 1.0 - 2**-53, 0.0),
+]
+
+
+@st.composite
+def routed_points(draw):
+    """A baseline point at any lam, or a fully naive one off the baseline."""
+    h, v_B = draw(box_hs), draw(box_vbs)
+    if draw(st.booleans()):
+        return h, draw(box_lams), v_B, 0.5, 0.5
+    gamma, mu0 = draw(box_gammas), draw(box_mu0s)
+    if gamma == mu0 == 0.5:
+        gamma = 0.49999999999999994
+    return h, draw(st.sampled_from([0.0, -0.0])), v_B, gamma, mu0
+
+
+class TestPoolingCandidates:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(routed_points(), min_size=1, max_size=40))
+    @example(ROUTED_POINTS)
+    def test_routes_each_point_as_solve_pooling_does(self, points):
+        fields = [array.tolist() for array in pooling_candidates(*map(np.array, zip(*points)))]
+        for k, point in enumerate(points):
+            params = ModelParams(*point)
+            scalar = best_pooling_candidate if params.is_base_variant else _naive_candidate
+            # repr tells -0.0 from 0.0 and an int level from a float.
+            assert repr(tuple(field[k] for field in fields)) == repr(tuple(scalar(params))), point
+
+    def test_refuses_lam_off_the_baseline(self):
+        point = [np.array([value]) for value in (0.7, 0.3, 0.1, 0.4, 0.5)]
+        with pytest.raises(AssertionError):
+            pooling_candidates(*point)
 
 
 #: Grids of each kind the engine meets: the chunk boundary inside the
@@ -492,8 +534,8 @@ class TestMemory:
         largest, sizes = [], []
 
         def measured(*arrays):
-            found, fields = out = batched(*arrays)
-            sizes.append(max(array.size for array in (*arrays, found, *fields)))
+            fields = batched(*arrays)
+            sizes.append(max(array.size for array in (*arrays, *fields)))
             if len(sizes) % 20 == 1:
                 # Every numpy buffer alive now: the chunk's index and value
                 # arrays, the inputs and the outputs.
@@ -501,7 +543,7 @@ class TestMemory:
                     trace.size for trace in tracemalloc.take_snapshot().traces
                     if trace.domain == np.lib.tracemalloc_domain
                 ))
-            return out
+            return fields
 
         monkeypatch.setattr(cli, "pooling_candidates", measured)
         # Only the arrays matter here; skipping the per-point ModelParams and
