@@ -7,27 +7,16 @@ is the whole engine of the model, so print it for a sweep of h.
 
 import numpy as np
 
-from splab import (
-    ModelParams,
-    Precision,
-    Signal,
-    Valence,
-    posterior_naive,
-    posterior_sophisticated,
-    w_bar,
-)
+from splab import ModelParams, build_wtp_schedule, w_bar
 
-GH = Signal(Valence.GOOD, Precision.HIGH)
-GL = Signal(Valence.GOOD, Precision.LOW)
-
+# At v_B = 0 a consumer's WTP, mu*1 + (1-mu)*0, is their posterior mu, so the
+# ladder's five rungs are the five beliefs: sophisticated bad-high, naive bad,
+# sophisticated low-precision, naive good, sophisticated good-high.
 print(f"{'h':>5} {'w_bar':>6} | {'soph good+high':>14} {'soph good+low':>13} {'naive good':>10}")
 for h in np.linspace(0.5, 1.0, 11):
     p = ModelParams(h=float(h), lam=0.0, v_B=0.0)
-    row = (
-        posterior_sophisticated(p, GH),
-        posterior_sophisticated(p, GL),
-        posterior_naive(p, Valence.GOOD),
-    )
+    levels = build_wtp_schedule(p).levels
+    row = (levels[4].wtp, levels[2].wtp, levels[3].wtp)
     print(f"{h:5.2f} {w_bar(p):6.3f} | {row[0]:14.4f} {row[1]:13.4f} {row[2]:10.4f}")
 
 print()
@@ -38,5 +27,5 @@ print("review as if it had the average precision (1+2h)/4.")
 # The naive posterior after a bad review, which anchors the lowest pooled price:
 print()
 for h in (0.6, 0.8, 0.95):
-    p = ModelParams(h=float(h), lam=0.0, v_B=0.0)
-    print(f"h={h}: naive posterior after a bad review = {posterior_naive(p, Valence.BAD):.4f}")
+    naive_bad = build_wtp_schedule(ModelParams(h=float(h), lam=0.0, v_B=0.0)).levels[1].wtp
+    print(f"h={h}: naive posterior after a bad review = {naive_bad:.4f}")

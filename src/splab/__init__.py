@@ -12,22 +12,20 @@ the pricing game, and the comparative-statics thresholds in signal
 precision, consumer sophistication, precision mix, and prior -- each
 cross-checked against a brute-force oracle (grid search plus Monte-Carlo
 simulation) that shares no algebra with the analytic path.
+
+Beliefs are read as willingness to pay, mu*V_G + (1-mu)*v_B, so at
+v_B = 0 a WTP is the posterior mu itself.  On the symmetric baseline
+``build_wtp_schedule(params).levels`` holds the five distinct ones; at any
+gamma and mu0, ``splab.oracle.consumer_cells`` gives all eight cells,
+naive then sophisticated, each after good-high, bad-high, good-low and
+bad-low news.
 """
 
 from .model import (
-    ConsumerType,
     ModelParams,
     ParameterError,
-    Precision,
     Quality,
-    Signal,
-    SIGNALS,
     UnsupportedVariantError,
-    Valence,
-    posterior_naive,
-    posterior_sophisticated,
-    posterior_with_prior,
-    signal_distribution,
     w_bar,
     wtp_from_posterior,
 )
@@ -70,21 +68,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComparisonReport",
-    "ConsumerType",
     "EquilibriumOutcome",
     "GridSpec",
     "ModelParams",
     "ParameterError",
     "PoolingCandidate",
-    "Precision",
     "Quality",
     "SeparationReport",
-    "Signal",
-    "SIGNALS",
     "SimReport",
     "ThresholdSet",
     "UnsupportedVariantError",
-    "Valence",
     "WtpLevel",
     "WtpSchedule",
     "best_pooling_candidate",
@@ -99,11 +92,7 @@ __all__ = [
     "gamma_thresholds",
     "grid_argmax",
     "hstar_prior",
-    "posterior_naive",
-    "posterior_sophisticated",
-    "posterior_with_prior",
     "prior_mu_lower",
-    "signal_distribution",
     "simulate_market",
     "solve_gamma",
     "solve_mixed",

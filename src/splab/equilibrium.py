@@ -771,8 +771,9 @@ def gamma_thresholds() -> tuple[float, float]:
 
 
 def hstar_prior(v_B: float, mu0: float) -> Optional[float]:
-    """Precision at which the prior-model profit switches from falling to
-    rising: where the good-signal price's profit catches full coverage."""
+    """The precision h at which the prior-model profit switches from
+    falling to rising: where the good-signal price's profit catches full
+    coverage."""
     params = ModelParams(h=0.5, lam=0.0, v_B=v_B, mu0=mu0)
 
     def diff(h: float) -> float:

@@ -14,9 +14,9 @@ consumer observes only the valence and updates as if every signal had the
 average precision ``w_bar = gamma*h + (1-gamma)*L``.  A fraction ``lambda``
 of the population is sophisticated.
 
-Everything downstream (demand schedules, equilibrium pricing, oracles) is
-built on the posterior functions defined here, so all modules share one
-floating-point path for each belief value.
+A belief is computed in one of two forms defined here, which round alike:
+`posterior_wtp` on floats or arrays (the ladder and the naive market) and
+`_bayes` with `wtp_from_posterior` on floats (the oracle's cells).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import enum
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 
 class ParameterError(ValueError):
@@ -59,43 +58,6 @@ class Quality(enum.Enum):
 
     G = "G"
     B = "B"
-
-
-class Valence(enum.Enum):
-    """Direction of a signal: good or bad news about the product."""
-
-    GOOD = "g"
-    BAD = "b"
-
-
-class Precision(enum.Enum):
-    """Reliability tier of a signal: high (w = h) or low (w = L = 0.5)."""
-
-    HIGH = "h"
-    LOW = "l"
-
-
-class ConsumerType(enum.Enum):
-    """Whether the consumer can observe a signal's precision."""
-
-    SOPHISTICATED = "sophisticated"
-    NAIVE = "naive"
-
-
-class Signal(NamedTuple):
-    """A (valence, precision) pair as seen by a sophisticated consumer."""
-
-    valence: Valence
-    precision: Precision
-
-
-#: The four possible signals, in a fixed canonical order.
-SIGNALS: tuple[Signal, ...] = (
-    Signal(Valence.GOOD, Precision.HIGH),
-    Signal(Valence.BAD, Precision.HIGH),
-    Signal(Valence.GOOD, Precision.LOW),
-    Signal(Valence.BAD, Precision.LOW),
-)
 
 
 #: Each ModelParams field, in field order, with the test its finite float
@@ -186,24 +148,6 @@ def w_bar(params: ModelParams) -> float:
     return params.gamma * params.h + (1.0 - params.gamma) * L
 
 
-def signal_distribution(params: ModelParams, quality: Quality) -> dict[Signal, float]:
-    """Pr(signal | quality) over the four (valence, precision) pairs.
-
-    Pr(sigma_{q,w} | Q) = Pr(valence | Q; w) * Pr(w), where the valence
-    matches quality with probability w.  Raises ParameterError for a
-    `quality` that is not a Quality member.
-    """
-    if not isinstance(quality, Quality):
-        raise ParameterError(f"quality must be a Quality, got {quality!r}")
-    out: dict[Signal, float] = {}
-    for signal in SIGNALS:
-        p_prec = params.gamma if signal.precision is Precision.HIGH else 1.0 - params.gamma
-        w = params.h if signal.precision is Precision.HIGH else L
-        matches = (signal.valence is Valence.GOOD) == (quality is Quality.G)
-        out[signal] = p_prec * (w if matches else 1.0 - w)
-    return out
-
-
 def _bayes(mu0: float, like_G: float, like_B: float) -> float:
     """Posterior Pr(G | evidence) from prior mu0 and the two likelihoods.
 
@@ -215,48 +159,6 @@ def _bayes(mu0: float, like_G: float, like_B: float) -> float:
     if den == 0.0:
         return mu0
     return num / den
-
-
-def posterior_sophisticated(params: ModelParams, signal: Signal) -> float:
-    """Belief Pr(G | signal) of a consumer who sees valence and precision.
-
-    At mu0 = 0.5 this is h for (good, high), 1-h for (bad, high), and 0.5
-    for either low-precision signal (L = 0.5 is uninformative).
-    """
-    w = params.h if signal.precision is Precision.HIGH else L
-    if signal.valence is Valence.GOOD:
-        like_G, like_B = w, 1.0 - w
-    else:
-        like_G, like_B = 1.0 - w, w
-    return _bayes(params.mu0, like_G, like_B)
-
-
-def posterior_naive(params: ModelParams, valence: Valence) -> float:
-    """Belief Pr(G | valence) of a consumer who cannot see precision.
-
-    The naive consumer treats every signal as having the average precision
-    w_bar, so at mu0 = 0.5 the posterior is (1 + gamma*(2h-1))/2 after good
-    news and (1 - gamma*(2h-1))/2 after bad news.
-    """
-    wb = w_bar(params)
-    if valence is Valence.GOOD:
-        like_G, like_B = wb, 1.0 - wb
-    else:
-        like_G, like_B = 1.0 - wb, wb
-    return _bayes(params.mu0, like_G, like_B)
-
-
-def posterior_with_prior(
-    params: ModelParams, consumer: ConsumerType, signal: Signal
-) -> float:
-    """General-prior posterior for either consumer type.
-
-    Naive consumers ignore the signal's precision field; sophisticated ones
-    use it.  Both reduce to the base-model tables at mu0 = 0.5.
-    """
-    if consumer is ConsumerType.NAIVE:
-        return posterior_naive(params, signal.valence)
-    return posterior_sophisticated(params, signal)
 
 
 def wtp_from_posterior(mu: float, params: ModelParams) -> float:

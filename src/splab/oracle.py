@@ -47,8 +47,8 @@ class _CellTable(NamedTuple):
     """One parameter point's eight cells and its demand steps under G and B.
 
     A cell is one consumer type paired with one signal, naive then
-    sophisticated, each over SIGNALS (good-high, bad-high, good-low,
-    bad-low).  wtps holds the cells' WTPs in that order; they do not depend
+    sophisticated, each after good-high, bad-high, good-low and bad-low
+    news.  wtps holds the cells' WTPs in that order; they do not depend
     on quality.  masses[i] holds the cells' probabilities, the type share
     times Pr(signal | Q), under Q = G (i = 0) or B (i = 1).  levels are the
     sorted distinct WTPs.  steps[i][j] is the demand under that quality at
@@ -68,12 +68,10 @@ def _build_table(params: ModelParams) -> _CellTable:
 
     Each of the six distinct posteriors (naive after good and bad news,
     sophisticated after each signal) is `_bayes` on that signal's
-    likelihoods and its WTP `wtp_from_posterior`, and each Pr(signal | Q)
-    is `signal_distribution`'s product, so every float is the one those
-    functions give.  Each step adds the masses of the cells that cover it
-    in cell order, the float that summing the eight cells one by one at
-    such a price gives (an explicit loop: `sum` compensates its rounding
-    from Python 3.12).
+    likelihoods, and its WTP is `wtp_from_posterior`.  Each step adds the
+    masses of the cells that cover it in cell order, the float that summing
+    the eight cells one by one at such a price gives (an explicit loop:
+    `sum` compensates its rounding from Python 3.12).
     """
     h, lam, gamma, mu0 = params.h, params.lam, params.gamma, params.mu0
     wb = w_bar(params)
@@ -141,10 +139,13 @@ def _quality_index(quality: Quality) -> int:
 def consumer_cells(params: ModelParams, quality: Quality) -> list[tuple[float, float]]:
     """(probability, WTP) of each of the eight population cells.
 
-    A cell is one consumer type paired with one signal; its probability is
-    the type share times Pr(signal | quality), and its WTP follows from that
-    type's posterior.  This is the raw object every oracle computation sums
-    over, read from a table built for `params` itself.
+    A cell is one consumer type paired with one signal: naive then
+    sophisticated, each after good-high, bad-high, good-low and bad-low
+    news.  Its probability is the type share times Pr(signal | quality),
+    and its WTP is `wtp_from_posterior` of that type's posterior, so at
+    v_B = 0 the WTP is the posterior itself.  This is the raw object every
+    oracle computation sums over, read from a table built for `params`
+    itself.
     """
     i = _quality_index(quality)
     table = _build_table(params)
@@ -323,8 +324,8 @@ def simulate_market(
         raise ParameterError(f"price must lie in [0, 1], got {price}")
 
     # Bit k is set when cell k of the enumeration oracle's table buys: naive
-    # then sophisticated, each over SIGNALS (good-high, bad-high, good-low,
-    # bad-low), so a draw's cell is soph*4 + low*2 + bad.
+    # then sophisticated, each after good-high, bad-high, good-low and
+    # bad-low news, so a draw's cell is soph*4 + low*2 + bad.
     wtps = _cell_table(params).wtps
     buyer_bits = np.uint8(sum(1 << k for k, wtp in enumerate(wtps) if wtp >= price))
 
@@ -392,18 +393,20 @@ class SeparationReport(Record):
 def check_no_separation(params: ModelParams) -> SeparationReport:
     """Evaluate the deviation that breaks each candidate separating profile.
 
-    Revealing prices p_G on 101 even steps of (v_B, 1]: the low type's mimic
-    profit, from the eight cells with every belief set to 1, must strictly
-    beat v_B.  A belief of 1 is a WTP of V_G = 1 >= p_G, so every cell buys
-    and the mimic sells the low type's whole mass, the first step of its
-    demand.  Revealing prices p_G <= v_B: the high type's best deviation
+    Revealing prices p_G on those of 101 even steps of (v_B, 1] that round
+    above v_B (a few ulps below 1, some round down to v_B itself): the low
+    type's mimic profit, from the eight cells with every belief set to 1,
+    must strictly beat v_B.  A belief of 1 is a WTP of V_G = 1 >= p_G, so
+    every cell buys and the mimic sells the low type's whole mass, the first
+    step of its demand.  Revealing prices p_G <= v_B: the high type's best deviation
     under signal-based beliefs (grid_argmax) must strictly beat p_G, and so
     beat v_B, the largest such price.  Separation is ruled out when every
     one of these deviations pays.
     """
     v = params.v_B
     # min: the top price can round one ulp past V_G = 1, where nobody buys.
-    prices = tuple(min(v + (1.0 - v) * k / 101, 1.0) for k in range(1, 102))
+    even = (min(v + (1.0 - v) * k / 101, 1.0) for k in range(1, 102))
+    prices = tuple(p for p in even if p > v)
     mass = _cell_table(params).steps[_quality_index(Quality.B)][0]
     mimic = tuple(p * mass for p in prices)
     _, deviation = grid_argmax(params, Quality.G)

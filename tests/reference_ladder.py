@@ -1,8 +1,9 @@
 """Reference ladder: one posterior call per rung, then the WtpLevel objects.
 
 This is the formulation `splab.demand.build_wtp_schedule` used before the
-flat `ladder` function.  Each rung's posterior comes from
-`posterior_sophisticated`/`posterior_naive` on its signal, the masses are
+flat `ladder` function.  Each rung's posterior is `_bayes` on its signal's
+likelihoods, written out, as the enum-keyed posterior functions of
+`splab.model` gave it before they were removed; the masses are
 written out per rung, and the coverages are suffix sums taken from the top
 rung down.  It lives in the tests only, where the flat ladder and the
 schedule built on it must equal it bit for bit.
@@ -11,26 +12,22 @@ schedule built on it must equal it bit for bit.
 from __future__ import annotations
 
 from splab.demand import CONSUMER_LABELS, WtpLevel, WtpSchedule
-from splab.model import (
-    ModelParams,
-    Precision,
-    Signal,
-    Valence,
-    posterior_naive,
-    posterior_sophisticated,
-    wtp_from_posterior,
-)
+from splab.model import L, ModelParams, _bayes, w_bar, wtp_from_posterior
 
 
 def build_wtp_schedule(params: ModelParams) -> WtpSchedule:
-    h, lam = params.h, params.lam
+    h, lam, mu0 = params.h, params.lam, params.mu0
+    wb = w_bar(params)
 
+    # Each rung's likelihoods under G and B as its consumer reads them:
+    # sophisticated bad-high, naive bad, sophisticated low, naive good,
+    # sophisticated good-high.
     posteriors = (
-        posterior_sophisticated(params, Signal(Valence.BAD, Precision.HIGH)),
-        posterior_naive(params, Valence.BAD),
-        posterior_sophisticated(params, Signal(Valence.GOOD, Precision.LOW)),
-        posterior_naive(params, Valence.GOOD),
-        posterior_sophisticated(params, Signal(Valence.GOOD, Precision.HIGH)),
+        _bayes(mu0, 1.0 - h, h),
+        _bayes(mu0, 1.0 - wb, wb),
+        _bayes(mu0, L, 1.0 - L),
+        _bayes(mu0, wb, 1.0 - wb),
+        _bayes(mu0, h, 1.0 - h),
     )
     wtps = tuple(wtp_from_posterior(mu, params) for mu in posteriors)
 

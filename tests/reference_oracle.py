@@ -11,12 +11,15 @@ The simulation draws each batch's (count, 3) uniforms in one array from a
 Philox stream advanced to the batch's start, as before the uniforms were
 streamed through a reused chunk buffer.  It holds 32 MB per 2^20 draws.
 
-The cells are enumerated one consumer type and one signal at a time
-through the model's posterior and signal-distribution functions, as
-before one cached table per parameter point held them.  The no-separation
-witness adds the believing cells' masses with the builtin `sum`, as
-before it read the low type's total mass off that table; up to Python
-3.11 `sum` adds floats one by one, from 3.12 it compensates rounding.
+The cells are enumerated one consumer type and one signal at a time, as
+before one cached table per parameter point held them.  Each posterior is
+`_bayes` on the likelihoods that type reads off the signal, and each
+Pr(signal | Q) is written out, as the enum-keyed posterior and
+signal-distribution functions of `splab.model` gave them before they were
+removed.  The no-separation witness adds the believing cells' masses with
+the builtin `sum`, as before it read the low type's total mass off that
+table; up to Python 3.11 `sum` adds floats one by one, from 3.12 it
+compensates rounding.
 
 All of these live in the tests only, where the fast oracle must equal them
 bit for bit.
@@ -29,24 +32,26 @@ import math
 import numpy as np
 
 from splab import GridSpec, ModelParams, ParameterError, Quality, SeparationReport, SimReport
-from splab.model import (
-    L,
-    SIGNALS,
-    ConsumerType,
-    posterior_with_prior,
-    signal_distribution,
-    wtp_from_posterior,
-)
+from splab.model import L, _bayes, w_bar, wtp_from_posterior
+
+#: The four signals in cell order, as (good news, high precision).
+SIGNALS = ((True, True), (False, True), (True, False), (False, False))
 
 
 def consumer_cells(params: ModelParams, quality: Quality) -> list[tuple[float, float]]:
-    dist = signal_distribution(params, quality)
+    h, gamma, mu0 = params.h, params.gamma, params.mu0
+    wb = w_bar(params)
     cells: list[tuple[float, float]] = []
-    for consumer in (ConsumerType.NAIVE, ConsumerType.SOPHISTICATED):
-        share = params.lam if consumer is ConsumerType.SOPHISTICATED else 1.0 - params.lam
-        for signal in SIGNALS:
-            mu = posterior_with_prior(params, consumer, signal)
-            cells.append((share * dist[signal], wtp_from_posterior(mu, params)))
+    for share, sophisticated in ((1.0 - params.lam, False), (params.lam, True)):
+        for good_news, high in SIGNALS:
+            w = h if high else L
+            matches = good_news == (quality is Quality.G)
+            prob = (gamma if high else 1.0 - gamma) * (w if matches else 1.0 - w)
+            # A naive consumer reads every signal at the average precision.
+            seen = w if sophisticated else wb
+            like_G, like_B = (seen, 1.0 - seen) if good_news else (1.0 - seen, seen)
+            mu = _bayes(mu0, like_G, like_B)
+            cells.append((share * prob, wtp_from_posterior(mu, params)))
     return cells
 
 
@@ -113,7 +118,8 @@ def simulate_market(
 
 def check_no_separation(params: ModelParams) -> SeparationReport:
     v = params.v_B
-    prices = tuple(min(v + (1.0 - v) * k / 101, 1.0) for k in range(1, 102))
+    even = (min(v + (1.0 - v) * k / 101, 1.0) for k in range(1, 102))
+    prices = tuple(p for p in even if p > v)
     believing = [
         (prob, wtp_from_posterior(1.0, params))
         for prob, _ in consumer_cells(params, Quality.B)

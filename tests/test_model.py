@@ -1,4 +1,10 @@
-"""Unit tests for the signal technology and posterior machinery."""
+"""Unit tests for the signal technology and posterior machinery.
+
+Beliefs are read through the two forms the program runs: the oracle's
+eight cells (`splab.oracle.consumer_cells`, at any gamma and mu0) and the
+baseline ladder (`splab.demand.ladder`).  At v_B = 0 a cell's WTP,
+mu*V_G + (1-mu)*0, is its posterior mu bit for bit.
+"""
 
 import dataclasses
 import json
@@ -6,157 +12,220 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import splab
 from splab import (
     ComparisonReport,
-    ConsumerType,
     EquilibriumOutcome,
     ModelParams,
     ParameterError,
-    Precision,
     Quality,
-    SIGNALS,
     SeparationReport,
-    Signal,
     SimReport,
     ThresholdSet,
     UnsupportedVariantError,
-    Valence,
     WtpLevel,
     WtpSchedule,
     build_wtp_schedule,
     check_no_separation,
     compare_markets,
-    posterior_naive,
-    posterior_sophisticated,
-    posterior_with_prior,
-    signal_distribution,
     simulate_market,
     solve_pooling,
     thresholds,
     w_bar,
     wtp_from_posterior,
 )
+from splab.demand import ladder
 from splab.model import FIELD_RANGES, Record
-
-GH = Signal(Valence.GOOD, Precision.HIGH)
-BH = Signal(Valence.BAD, Precision.HIGH)
-GL = Signal(Valence.GOOD, Precision.LOW)
-BL = Signal(Valence.BAD, Precision.LOW)
+from splab.oracle import consumer_cells
 
 hs = st.floats(min_value=0.5, max_value=1.0, allow_nan=False)
-gammas = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
+lams = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+gammas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 mu0s = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+# Cell order of consumer_cells: naive then sophisticated, each after
+# good-high, bad-high, good-low and bad-low news.
+NAIVE_GH, NAIVE_BH, NAIVE_GL, NAIVE_BL, SOPH_GH, SOPH_BH, SOPH_GL, SOPH_BL = range(8)
 
 
 def base(h, lam=0.0, v_B=0.0, **kw):
     return ModelParams(h=h, lam=lam, v_B=v_B, **kw)
 
 
+def beliefs(params):
+    """The eight cells' posteriors: their WTPs, read at v_B = 0."""
+    assert params.v_B == 0.0
+    return [wtp for _, wtp in consumer_cells(params, Quality.G)]
+
+
+def masses(params, quality):
+    """The eight cells' probabilities under `quality`."""
+    return [mass for mass, _ in consumer_cells(params, quality)]
+
+
 class TestSignalDistribution:
+    """Pr(signal | Q) is a cell's mass in a market of one consumer type."""
+
     def test_h08_good_quality(self):
-        dist = signal_distribution(base(0.8), Quality.G)
-        assert dist[GH] == pytest.approx(0.40, abs=1e-15)
-        assert dist[BH] == pytest.approx(0.10, abs=1e-15)
-        assert dist[GL] == pytest.approx(0.25, abs=1e-15)
-        assert dist[BL] == pytest.approx(0.25, abs=1e-15)
+        for lam, first in ((0.0, NAIVE_GH), (1.0, SOPH_GH)):
+            dist = masses(base(0.8, lam=lam), Quality.G)[first : first + 4]
+            assert dist == pytest.approx([0.40, 0.10, 0.25, 0.25], abs=1e-15)
 
     def test_uninformative_at_half(self):
-        dist = signal_distribution(base(0.5), Quality.G)
-        assert all(abs(p - 0.25) <= 1e-15 for p in dist.values())
+        dist = masses(base(0.5, lam=1.0), Quality.G)[SOPH_GH:]
+        assert all(abs(p - 0.25) <= 1e-15 for p in dist)
 
     def test_perfect_high_signal_for_bad_quality(self):
-        dist = signal_distribution(base(1.0), Quality.B)
-        assert dist[BH] == pytest.approx(0.5, abs=1e-15)
-        assert dist[GH] == 0.0
+        dist = masses(base(1.0, lam=1.0), Quality.B)
+        assert dist[SOPH_BH] == pytest.approx(0.5, abs=1e-15)
+        assert dist[SOPH_GH] == 0.0
 
-    @given(h=hs, gamma=gammas)
-    def test_distribution_sums_to_one(self, h, gamma):
+    @given(h=hs, lam=lams, gamma=gammas, mu0=mu0s)
+    def test_distribution_sums_to_one(self, h, lam, gamma, mu0):
+        params = base(h, lam=lam, gamma=gamma, mu0=mu0)
         for quality in Quality:
-            dist = signal_distribution(base(h, gamma=gamma), quality)
-            assert abs(sum(dist.values()) - 1.0) <= 1e-15
+            dist = masses(params, quality)
+            assert abs(sum(dist) - 1.0) <= 2e-15
+            assert abs(sum(dist[:SOPH_GH]) - (1.0 - lam)) <= 1e-15
+            assert abs(sum(dist[SOPH_GH:]) - lam) <= 1e-15
 
 
 class TestPosteriors:
     def test_sophisticated_examples(self):
-        p = base(0.8)
-        assert posterior_sophisticated(p, GH) == pytest.approx(0.8, abs=1e-15)
-        assert posterior_sophisticated(p, BL) == pytest.approx(0.5, abs=1e-15)
+        mu = beliefs(base(0.8, lam=0.3))
+        assert mu[SOPH_GH] == pytest.approx(0.8, abs=1e-15)
+        assert mu[SOPH_BL] == pytest.approx(0.5, abs=1e-15)
 
     def test_naive_examples(self):
-        assert posterior_naive(base(0.8), Valence.GOOD) == pytest.approx(0.65, abs=1e-15)
-        assert posterior_naive(base(0.9), Valence.BAD) == pytest.approx(0.30, abs=1e-15)
-        assert posterior_naive(base(0.9, gamma=0.8), Valence.GOOD) == pytest.approx(0.82, abs=1e-15)
+        assert beliefs(base(0.8))[NAIVE_GH] == pytest.approx(0.65, abs=1e-15)
+        assert beliefs(base(0.9))[NAIVE_BH] == pytest.approx(0.30, abs=1e-15)
+        assert beliefs(base(0.9, gamma=0.8))[NAIVE_GH] == pytest.approx(0.82, abs=1e-15)
 
     def test_prior_weighted_naive(self):
-        p = base(0.8, mu0=0.7)
-        got = posterior_with_prior(p, ConsumerType.NAIVE, GH)
+        got = beliefs(base(0.8, mu0=0.7))[NAIVE_GH]
         assert got == pytest.approx(0.8125, abs=1e-12)
 
-    def test_degenerate_priors_absorb(self):
-        for signal in SIGNALS:
-            for consumer in ConsumerType:
-                assert posterior_with_prior(base(0.8, mu0=0.0), consumer, signal) == 0.0
-                assert posterior_with_prior(base(0.8, mu0=1.0), consumer, signal) == 1.0
+    @given(h=hs, lam=lams, gamma=gammas)
+    def test_degenerate_priors_absorb(self, h, lam, gamma):
+        for mu0 in (0.0, 1.0):
+            assert beliefs(base(h, lam=lam, gamma=gamma, mu0=mu0)) == [mu0] * 8
 
-    @given(h=hs, gamma=gammas, mu0=mu0s)
-    def test_posterior_is_martingale(self, h, gamma, mu0):
-        # Unconditionally, the expected posterior equals the prior.
-        params = base(h, gamma=gamma, mu0=mu0)
-        dist_G = signal_distribution(params, Quality.G)
-        dist_B = signal_distribution(params, Quality.B)
-        for consumer in ConsumerType:
-            mean = sum(
-                (mu0 * dist_G[s] + (1 - mu0) * dist_B[s])
-                * posterior_with_prior(params, consumer, s)
-                for s in SIGNALS
-            )
-            assert mean == pytest.approx(mu0, abs=1e-12)
+    @given(h=hs, lam=lams, gamma=gammas, mu0=mu0s)
+    def test_posterior_is_martingale(self, h, lam, gamma, mu0):
+        # Unconditionally, each type's expected posterior equals the prior.
+        params = base(h, lam=lam, gamma=gamma, mu0=mu0)
+        mu = beliefs(params)
+        dist_G, dist_B = masses(params, Quality.G), masses(params, Quality.B)
+        weighted = [
+            (mu0 * g + (1 - mu0) * b) * m for g, b, m in zip(dist_G, dist_B, mu)
+        ]
+        assert sum(weighted[:SOPH_GH]) == pytest.approx((1 - lam) * mu0, abs=1e-12)
+        assert sum(weighted[SOPH_GH:]) == pytest.approx(lam * mu0, abs=1e-12)
 
-    @given(h=hs, gamma=gammas)
-    def test_valence_symmetry_at_even_prior(self, h, gamma):
+    @given(h=hs, lam=lams, gamma=gammas)
+    def test_valence_symmetry_at_even_prior(self, h, lam, gamma):
         # With a 50/50 prior the good and bad posteriors mirror each other.
-        params = base(h, gamma=gamma)
-        for prec in Precision:
-            good = posterior_sophisticated(params, Signal(Valence.GOOD, prec))
-            bad = posterior_sophisticated(params, Signal(Valence.BAD, prec))
-            assert good + bad == pytest.approx(1.0, abs=1e-12)
-        assert posterior_naive(params, Valence.GOOD) + posterior_naive(
-            params, Valence.BAD
-        ) == pytest.approx(1.0, abs=1e-12)
+        mu = beliefs(base(h, lam=lam, gamma=gamma))
+        for good in (NAIVE_GH, NAIVE_GL, SOPH_GH, SOPH_GL):
+            assert mu[good] + mu[good + 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_in_h(self):
         grid = [0.5 + 0.05 * k for k in range(11)]
-        soph = [posterior_sophisticated(base(h), GH) for h in grid]
-        naive = [posterior_naive(base(h), Valence.GOOD) for h in grid]
-        assert all(a < b for a, b in zip(soph, soph[1:]))
-        assert all(a < b for a, b in zip(naive, naive[1:]))
+        for gamma, mu0 in ((0.5, 0.5), (0.3, 0.7), (0.9, 0.2)):
+            cells = [beliefs(base(h, lam=0.5, gamma=gamma, mu0=mu0)) for h in grid]
+            for good in (NAIVE_GH, SOPH_GH):
+                assert all(a[good] < b[good] for a, b in zip(cells, cells[1:]))
 
-    def test_everything_collapses_at_half(self):
-        params = base(0.5, gamma=0.37)
-        for s in SIGNALS:
-            assert abs(posterior_sophisticated(params, s) - 0.5) <= 1e-15
-        for valence in Valence:
-            assert abs(posterior_naive(params, valence) - 0.5) <= 1e-15
+    @given(lam=lams)
+    def test_everything_collapses_at_half(self, lam):
+        assert all(abs(mu - 0.5) <= 1e-15 for mu in beliefs(base(0.5, lam=lam, gamma=0.37)))
 
 
 class TestBeliefProfile:
     def test_eight_cells_and_naive_ignores_precision(self):
         # At h = 0.85 naive consumers impute w_bar = 0.675 to every signal.
-        params = base(0.85)
-        expected = {
-            ConsumerType.SOPHISTICATED: {GH: 0.85, BH: 0.15, GL: 0.5, BL: 0.5},
-            ConsumerType.NAIVE: {GH: 0.675, BH: 0.325, GL: 0.675, BL: 0.325},
-        }
-        for consumer in ConsumerType:
-            for signal in SIGNALS:
-                got = posterior_with_prior(params, consumer, signal)
-                assert got == pytest.approx(expected[consumer][signal], abs=1e-15)
-        for valence in Valence:
-            hi = posterior_with_prior(params, ConsumerType.NAIVE, Signal(valence, Precision.HIGH))
-            lo = posterior_with_prior(params, ConsumerType.NAIVE, Signal(valence, Precision.LOW))
-            assert hi == lo
+        mu = beliefs(base(0.85, lam=0.4))
+        expected = [0.675, 0.325, 0.675, 0.325, 0.85, 0.15, 0.5, 0.5]
+        assert mu == pytest.approx(expected, abs=1e-15)
+        assert mu[NAIVE_GH] == mu[NAIVE_GL] and mu[NAIVE_BH] == mu[NAIVE_BL]
+
+    @given(h=hs, lam=lams, v_B=st.floats(0.0, 0.99), gamma=gammas, mu0=mu0s)
+    def test_naive_ignores_precision_everywhere(self, h, lam, v_B, gamma, mu0):
+        params = base(h, lam, v_B, gamma=gamma, mu0=mu0)
+        wtps = [wtp for _, wtp in consumer_cells(params, Quality.G)]
+        assert wtps[NAIVE_GH] == wtps[NAIVE_GL]
+        assert wtps[NAIVE_BH] == wtps[NAIVE_BL]
+
+    @given(
+        h=st.one_of(st.sampled_from([0.5, 1.0]), hs),
+        lam=st.one_of(st.sampled_from([0.0, -0.0, 1.0]), lams),
+        v_B=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 0.99)),
+    )
+    @example(h=0.5, lam=-0.0, v_B=-0.0)
+    @example(h=1.0, lam=-0.0, v_B=-0.0)
+    @example(h=1.0, lam=1.0, v_B=0.0)
+    def test_cells_and_ladder_share_every_wtp(self, h, lam, v_B):
+        # The oracle's cells and the solver's ladder price each belief in
+        # their own form; on the baseline they must agree bit for bit (repr,
+        # so a -0.0 cannot pass for 0.0).
+        params = ModelParams(h=h, lam=lam, v_B=v_B)
+        wtps = [wtp for _, wtp in consumer_cells(params, Quality.G)]
+        rungs = [wtps[SOPH_BH], wtps[NAIVE_BH], wtps[SOPH_GL], wtps[NAIVE_GH], wtps[SOPH_GH]]
+        assert repr(rungs) == repr(list(ladder(params)[0]))
+        assert repr(wtps[SOPH_BL]) == repr(wtps[SOPH_GL])
+        assert sorted(set(wtps)) == sorted(set(ladder(params)[0]))
+
+
+class TestPublicApi:
+    #: splab.__all__, sorted.  A change to the public API edits this list.
+    PUBLIC_API = [
+        "ComparisonReport",
+        "EquilibriumOutcome",
+        "GridSpec",
+        "ModelParams",
+        "ParameterError",
+        "PoolingCandidate",
+        "Quality",
+        "SeparationReport",
+        "SimReport",
+        "ThresholdSet",
+        "UnsupportedVariantError",
+        "WtpLevel",
+        "WtpSchedule",
+        "best_pooling_candidate",
+        "bisect_threshold",
+        "build_wtp_schedule",
+        "check_no_separation",
+        "classify_equilibrium",
+        "compare_markets",
+        "demand_by_enumeration",
+        "expected_demand",
+        "gamma_switch",
+        "gamma_thresholds",
+        "grid_argmax",
+        "hstar_prior",
+        "prior_mu_lower",
+        "simulate_market",
+        "solve_gamma",
+        "solve_mixed",
+        "solve_pooling",
+        "solve_prior",
+        "thresholds",
+        "w_bar",
+        "wtp_from_posterior",
+    ]
+
+    def test_all_is_the_recorded_list(self):
+        assert sorted(splab.__all__) == self.PUBLIC_API
+        assert len(set(splab.__all__)) == len(splab.__all__)
+
+    def test_every_name_resolves(self):
+        namespace = {}
+        exec("from splab import *", namespace)
+        for name in self.PUBLIC_API:
+            assert namespace[name] is getattr(splab, name)
 
 
 class TestWtpAndWbar:

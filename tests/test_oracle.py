@@ -21,7 +21,6 @@ from splab import (
     demand_by_enumeration,
     expected_demand,
     grid_argmax,
-    signal_distribution,
     simulate_market,
 )
 from splab import oracle
@@ -102,7 +101,6 @@ _EDGE_PRICE = consumer_cells(_EDGE, Quality.G)[1][1]
 
 _POINT = ModelParams(h=0.8, lam=0.5, v_B=0.1)
 _QUALITY_TAKERS = {
-    "signal_distribution": lambda q: signal_distribution(_POINT, q),
     "consumer_cells": lambda q: consumer_cells(_POINT, q),
     "demand_by_enumeration": lambda q: demand_by_enumeration(_POINT, q, 0.55),
     "grid_argmax": lambda q: grid_argmax(_POINT, q),
@@ -425,6 +423,27 @@ class TestNoSeparation:
         assert check_no_separation(params).to_json() == (
             reference.check_no_separation(params).to_json()
         )
+
+    @pytest.mark.parametrize(
+        "h,lam,ulps_exp,possible",
+        [
+            (0.8, 0.5, 50, False),
+            (1.0, 1.0, 53, False),
+            (0.6, 0.0, 52, False),
+            (0.8, 0.5, 53, True),
+        ],
+    )
+    def test_prices_near_one_stay_above_v_B(self, h, lam, ulps_exp, possible):
+        # A few ulps below 1, some of the 101 steps of (v_B, 1] round down to
+        # v_B, where mimicking gains exactly 0; they are no revealing prices.
+        # Separation stays possible only where the high type's deviation
+        # gains exactly 0 too, as at (0.8, 0.5, 1 - 2^-53).
+        params = ModelParams(h=h, lam=lam, v_B=1.0 - 2.0**-ulps_exp)
+        report = check_no_separation(params)
+        assert report.prices and all(p > params.v_B for p in report.prices)
+        assert report.separation_possible is possible
+        _, deviation = grid_argmax(params, Quality.G)
+        assert (deviation > params.v_B) is not possible
 
     @settings(max_examples=30, deadline=None)
     @given(h=hs, lam=lams, v=st.floats(0.01, 0.95))
