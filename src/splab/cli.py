@@ -14,11 +14,10 @@ Parameters are given as flags (``--h``, ``--lambda``, ``--vb``, ``--gamma``,
 config file (``--config``) may supply the same keys; explicit flags override
 it.  Output goes to ``--out`` or stdout as CSV (default) or JSON; floats are
 fixed at 12 significant digits so identical runs are byte-identical.  A
-grid is solved, formatted and written one chunk at a time, so memory does
-not grow with its size; a refused point is found before the first byte.
+grid is solved, formatted and written one chunk at a time, so memory grows
+with its axes, not its points; a refused point is found before the first byte.
 ``--stats`` adds one JSON line on stderr: the points, the tally of their
-labels, how many the batched and the scalar path solved, and the seconds
-spent parsing, solving and writing.  Stdout does not change.
+labels and the seconds spent parsing, solving and writing; stdout is unchanged.
 
 Examples:
     splab solve --h 0.7 --lambda 1 --vb 0.1
@@ -54,7 +53,6 @@ from .equilibrium import (
     _argmax_level,
     _level_profit_G,
     classify_equilibrium,
-    compare_markets,
     pooling_candidates,
     solve_pooling,
     thresholds,
@@ -112,7 +110,8 @@ MAX_VERIFY_DRAWS = 10**8
 MC_TAIL = math.erfc(4.0 / math.sqrt(2.0))
 #: Most grid points whose candidate argmax one numpy pass computes, and most
 #: rows the writer pulls, formats and writes at once, so none of them holds
-#: more than a few hundred kB whatever the grid's size.
+#: more than a few hundred kB whatever the grid's size.  Even, so `compare`'s
+#: two points per h always share a chunk.
 GRID_CHUNK = 4096
 
 SOLVE_COLUMNS = (
@@ -408,11 +407,9 @@ def _output_columns(points: Iterator[tuple], fields: list, counts: Counter, row)
     `_refuse_grid` lets through), and its arrays become lists before the
     first point is solved.  ModelParams is built, and classify_equilibrium
     called, once per point; only the fields `row` picks from the outcome
-    are kept.  The chunk's size is added to `counts["batched"]` and its
-    labels tallied in `counts`.
+    are kept.  The chunk's labels are tallied in `counts`.
     """
     arrays = pooling_candidates(*fields)
-    counts["batched"] += len(arrays[0])
     candidates = map(PoolingCandidate, *(array.tolist() for array in arrays))
     # Each point's fields join one flat list, so no tuple per point outlives
     # its point; column k is every width-th cell from cell k.
@@ -439,29 +436,29 @@ def _region_rows(axes: dict[str, list[float]], counts: Counter) -> LazyRows:
     ))
 
 
-def _compare_rows(axes: dict[str, list[float]]) -> list[tuple]:
+def _compare_rows(axes: dict[str, list[float]]) -> LazyRows:
     for fixed in ("gamma", "mu0"):
         if len(axes[fixed]) != 1:
             raise UsageError(f"compare does not sweep --{fixed}")
     if len(axes["v_B"]) != 1:
         raise UsageError("compare needs a scalar --vb")
-    gamma, mu0, v_B = axes["gamma"][0], axes["mu0"][0], axes["v_B"][0]
+    gamma, mu0 = axes["gamma"][0], axes["mu0"][0]
     if gamma != BASE or mu0 != BASE:
         # Its lambda=1 market exists only on the symmetric baseline.
         raise UsageError(
             f"compare needs --gamma {BASE} and --mu0 {BASE}, the symmetric baseline "
             f"on which it solves lambda=1; got gamma={gamma!r}, mu0={mu0!r}"
         )
-    rows = []
-    for h in axes["h"]:
-        naive = ModelParams(h=h, lam=0.0, v_B=v_B)
-        soph = ModelParams(h=h, lam=1.0, v_B=v_B)
-        report = compare_markets(naive, soph)
-        naive_out, soph_out = report.naive, report.sophisticated
-        rows.append(
-            (h, naive_out.profit_G, soph_out.profit_G, naive_out.profit_B, soph_out.profit_B)
-        )
-    return rows
+    # lambda = 0 and 1 at each h, side by side in product order; GRID_CHUNK
+    # is even, so each chunk pairs into compare's columns.  A point that does
+    # not pool (a lambda = 0 one may turn mixed) prints no profits.
+    pairs = _grid_rows({**axes, "lambda": [0.0, 1.0]}, Counter(), lambda _, out: (
+        (out.profit_G, out.profit_B) if out.kind == "pooling" else (None, None)
+    ))
+    return LazyRows(len(pairs) // 2, lambda: (
+        [AxisColumn(h.values, h.index[::2]), G[::2], G[1::2], B[::2], B[1::2]]
+        for h, *_, G, B in pairs.chunks()
+    ))
 
 
 def _threshold_rows(axes: dict[str, list[float]]) -> list[tuple]:
@@ -524,8 +521,8 @@ def _write_rows(rows: Iterable[tuple], columns: Sequence[str], args) -> float:
     written before the next is pulled, so a lazy grid (`_grid_rows`) is
     solved, formatted and written one chunk at a time.  An axis column
     (`AxisColumn`) takes its texts by index from its axis's, formatted once
-    per call.  A CSV chunk's lines are joined from its texts (`_csv_lines`),
-    and a JSON chunk is written from one row template.
+    per call (`_texts`).  A CSV chunk's lines are joined from its texts
+    (`_csv_lines`), and a JSON chunk is written from one row template.
 
     Failing to open, write or close --out is a UsageError, and a failed
     stdout write a StdoutError; an error raised while pulling rows
@@ -545,7 +542,7 @@ def _write_rows(rows: Iterable[tuple], columns: Sequence[str], args) -> float:
             return _column_texts(column, as_json)
         key = id(column.values)
         if key not in axis_texts:
-            axis_texts[key] = np.array(_column_texts(column.values, as_json), dtype=object)
+            axis_texts[key] = np.array(_texts(column.values, as_json), dtype=object)
         return axis_texts[key][column.index].tolist()
 
     chunks = _column_chunks(rows)
@@ -855,15 +852,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_stats(args, points: int, counts: Counter,
                  times: tuple[float, float, float, float, float]) -> None:
-    """The --stats line.  `counts` holds the grid chunks' tallies: the
-    points that got a batched candidate ("batched") and each label."""
+    """The --stats line.  `counts` holds the grid chunks' label tallies."""
     started, parsed, solved, written, waited = times
     stats = {
         "command": args.command,
         "points": points,
-        "kinds": {kind: n for kind, n in sorted(counts.items()) if kind != "batched"},
-        "batched": counts["batched"],
-        "scalar": points - counts["batched"],
+        "kinds": dict(sorted(counts.items())),
         "parse_s": round(parsed - started, 6),
         "solve_s": round(solved - parsed + waited, 6),
         "write_s": round(written - solved - waited, 6),

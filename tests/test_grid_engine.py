@@ -10,9 +10,10 @@ kinds of point; they hold the two scans both passes share (`_argmax` on
 floats, `_argmaxes` on arrays) to each other on crafted candidates, hold
 the rows to the per-point bodies in `reference_grid.py` (a grid with a
 refused point must raise the reference's error before it solves any
-point), hold the CLI bytes to digests recorded before each pass was
-batched, and bound the memory the chunks take, which must not grow with
-the grid now that rows stream to the writer.
+point) and compare's rows to its per-h body there, hold the CLI bytes to
+digests recorded before each pass was batched, also with the scalar
+argmaxes made to raise, and bound the memory the chunks take, which must
+not grow with the grid now that rows stream to the writer.
 """
 
 from __future__ import annotations
@@ -326,8 +327,8 @@ class TestGridRows:
         # which pytest takes minutes to print.
         first = next((k for k, (a, b) in enumerate(zip(got, want)) if repr(a) != repr(b)), None)
         assert first is None, (first, got[first], want[first])
-        # Baseline points and fully naive ones (lam == 0) get a candidate.
-        assert counts["batched"] == sum(row[3] == row[4] == 0.5 or row[1] == 0.0 for row in got)
+        # Every point's label is tallied once.
+        assert sum(counts.values()) == len(got)
 
     def test_grids_reach_every_path(self):
         labels = {
@@ -479,8 +480,8 @@ class TestColumnWriter:
     def test_every_label_grid(self):
         counts = Counter()
         list(cli._region_rows(EVERY_LABEL_AXES, counts))
-        assert set(counts) - {"batched"} == {"R1", "R2", "R3", "R4", "mixed", "none"}
-        assert counts["batched"] > cli.GRID_CHUNK
+        assert set(counts) == {"R1", "R2", "R3", "R4", "mixed", "none"}
+        assert sum(counts.values()) > cli.GRID_CHUNK
         assert math.copysign(1.0, EVERY_LABEL_AXES["lambda"][0]) == -1.0
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -512,6 +513,87 @@ def _stdout(argv: list[str]) -> bytes:
 def test_output_matches_recorded_digest(call):
     data = _stdout(call["argv"])
     assert (len(data), hashlib.sha256(data).hexdigest()) == (call["bytes"], call["sha256"])
+
+
+#: Recorded calls whose points must all get a batched candidate: a regions
+#: grid of baseline and fully naive points, a fully naive sweep (its gamma
+#: axis misses 0.5 by an ulp) and a compare call of three chunks.
+SCALAR_FREE_CALLS = (
+    ("regions", "--h", "0.5:1:21", "--lambda", "0", "--vb", "0.2:0.25:3",
+     "--gamma", "0.3:0.7:5", "--mu0", "0.3:0.7:5"),
+    ("sweep", "--format", "csv", "--h", "0.5:1:201", "--gamma", "0.05:0.95:101",
+     "--lambda", "0", "--vb", "0"),
+    ("compare", "--h", "0.5:1:4097", "--vb", "0.3"),
+)
+
+
+def test_walker_never_calls_a_scalar_argmax(monkeypatch):
+    # With both scalar argmaxes raising, every multi-point command still
+    # writes its recorded bytes: each point's candidate comes from
+    # pooling_candidates.
+    recorded = {
+        tuple(call["argv"]): call
+        for call in json.loads(DIGESTS.read_text(encoding="utf-8"))["calls"]
+    }
+
+    def scalar_argmax(params):
+        raise AssertionError(f"scalar argmax at {params}")
+
+    monkeypatch.setattr(equilibrium, "best_pooling_candidate", scalar_argmax)
+    monkeypatch.setattr(equilibrium, "_naive_candidate", scalar_argmax)
+    # The patches reach solve_pooling's own argmax, baseline and naive.
+    for params in (ModelParams(0.7, 0.3, 0.1), ModelParams(0.7, 0.0, 0.1, 0.3)):
+        with pytest.raises(AssertionError, match="scalar argmax"):
+            equilibrium.solve_pooling(params)
+    for argv in SCALAR_FREE_CALLS:
+        call = recorded[argv]
+        data = _stdout(list(argv))
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (call["bytes"], call["sha256"])
+
+
+#: compare's v_B: anywhere in [0, 1), with 0, one ulp below 1 and the band
+#: (0.2, 0.5) where lambda = 0 points turn mixed drawn on their own.
+compare_vbs = st.one_of(
+    st.sampled_from([0.0, 1.0 - 2**-53]),
+    st.floats(min_value=0.2, max_value=0.5, exclude_min=True, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+
+
+@st.composite
+def compare_h_axes(draw):
+    """A compare --h axis text: 2 to 5 000 steps, one chunk's worth of h
+    (2 048) and one more among them, between two h in [0.5, 1]."""
+    lo, hi = sorted(draw(st.lists(box_hs, min_size=2, max_size=2, unique=True)))
+    steps = draw(st.one_of(st.sampled_from([2048, 2049]), st.integers(2, 5000)))
+    return f"{lo!r}:{hi!r}:{steps}"
+
+
+class TestCompareRows:
+    """compare walks its h axis as a (h, lambda) grid at lambda = 0 and 1 and
+    pairs each chunk's points into its columns; the rows equal the per-h
+    scalar reference (`reference_grid.compare_rows`) bit for bit."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(h=compare_h_axes(), v_B=compare_vbs)
+    @example(h="0.5:1:2048", v_B=0.0)
+    @example(h="0.5:1:2049", v_B=1.0 - 2**-53)
+    @example(h="0.5:1:4097", v_B=0.3)
+    @example(h="0.9:1:2049", v_B=0.22)
+    def test_rows_equal_per_h_reference(self, h, v_B):
+        argv = ["--h", h, "--vb", repr(v_B)]
+        axes = _axes(*argv)
+        got, want = list(cli._compare_rows(axes)), reference.compare_rows(axes)
+        assert len(got) == len(want) == len(axes["h"])
+        # The first row whose repr differs, not a diff of thousands of rows.
+        first = next((k for k, (a, b) in enumerate(zip(got, want)) if repr(a) != repr(b)), None)
+        assert first is None, (first, got[first], want[first])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["compare", *argv, "--stats"]) == 0
+        stats = json.loads(err.getvalue())
+        assert (stats["points"], stats["kinds"]) == (len(want), {})
+        assert out.getvalue().count("\n") == len(want) + 1
 
 
 class TestMemory:
@@ -550,13 +632,12 @@ class TestMemory:
         # classify keeps the traced walk of 251 001 points short.
         monkeypatch.setattr(cli, "ModelParams", lambda *values: None)
         monkeypatch.setattr(cli, "classify_equilibrium", lambda params, candidate: (None, None))
-        counts = Counter()
         tracemalloc.start()
         try:
-            rows = list(cli._grid_rows(axes, counts, lambda label, outcome: ()))
+            rows = list(cli._grid_rows(axes, Counter(), lambda label, outcome: ()))
         finally:
             tracemalloc.stop()
-        assert len(rows) == counts["batched"] == 501 * 501
+        assert len(rows) == sum(sizes) == 501 * 501
         assert len(sizes) == math.ceil(501 * 501 / cli.GRID_CHUNK) == 62
         assert max(sizes) == cli.GRID_CHUNK and len(largest) == 4
         assert max(largest) <= cli.GRID_CHUNK * np.dtype(np.float64).itemsize
