@@ -405,17 +405,24 @@ def _output_columns(points: Iterator[tuple], fields: list, counts: Counter, row)
     One `pooling_candidates` call takes the candidate argmax at every point
     (the baseline and the fully naive market, the only points
     `_refuse_grid` lets through), and its arrays become lists before the
-    first point is solved.  ModelParams is built, and classify_equilibrium
-    called, once per point; only the fields `row` picks from the outcome
-    are kept.  The chunk's labels are tallied in `counts`.
+    first point is solved.  Only the fields `row` picks from each outcome
+    are kept, and the chunk's labels are tallied in `counts`.
+
+    A point then costs one ModelParams, one PoolingCandidate, one
+    classify_equilibrium call and the EquilibriumOutcome it returns.  The
+    ModelParams and the call stay per point because the traced benchmark
+    tallies region kinds at `cli.classify_equilibrium` and counts
+    ModelParams builds, until it reads `--stats` instead (ROADMAP item 1).
+    Both names are read from this module's globals when a chunk is solved,
+    so the tracer's wrappers and the tests' replacements take effect.
     """
     arrays = pooling_candidates(*fields)
     candidates = map(PoolingCandidate, *(array.tolist() for array in arrays))
+    solved = map(classify_equilibrium, itertools.starmap(ModelParams, points), candidates)
     # Each point's fields join one flat list, so no tuple per point outlives
     # its point; column k is every width-th cell from cell k.
     labels, cells = [], []
-    for values, candidate in zip(points, candidates):
-        label, outcome = classify_equilibrium(ModelParams(*values), candidate)
+    for label, outcome in solved:
         labels.append(label)
         cells += row(label, outcome)
     counts.update(labels)

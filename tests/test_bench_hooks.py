@@ -4,7 +4,8 @@
 the candidate argmax, the extension aliases, the ladder build, ...).  A
 refactor that deletes or renames one of them, or that stops calling
 `cli.classify_equilibrium` once per grid point (the traced run tallies the
-region kinds there), would otherwise fail only in traced benchmark runs.
+region kinds there), or a ModelParams that skips `__post_init__` (the traced
+run counts builds there), would otherwise fail only in traced benchmark runs.
 Likewise a `_structure_constants` that is no longer the cached function
 would zero the traced `threshold-table` cache counters silently, a
 bisection that stops going through the `bisect_threshold` module global
@@ -69,6 +70,8 @@ def test_trace_tallies_every_grid_point(monkeypatch, tmp_path):
     }
     assert kinds == Counter(labels)
     assert tracer.counts["cli.rows"] == len(labels)
+    # One ModelParams per grid point, each counted at its __post_init__.
+    assert tracer.counts["model.params_built"] == len(labels)
 
 
 def test_trace_counts_threshold_bisection(monkeypatch):

@@ -7,6 +7,7 @@ mu*V_G + (1-mu)*0, is its posterior mu bit for bit.
 """
 
 import dataclasses
+import inspect
 import json
 import math
 
@@ -376,3 +377,55 @@ class TestRecord:
     def test_to_json_dumps_to_dict(self):
         for x in self.records():
             assert x.to_json() == json.dumps(x.to_dict())
+
+
+@pytest.mark.parametrize(
+    "cls", [ModelParams, *Record.__subclasses__()], ids=lambda cls: cls.__name__
+)
+class TestConstructors:
+    """ModelParams and every Record build as a generated dataclass __init__
+    would, the two with a written-out __init__ (ModelParams and
+    EquilibriumOutcome) included: a field added to the class but not to its
+    __init__, or stored under another field's name, fails here."""
+
+    def values(self, cls):
+        """A distinct value per field: in-range floats for ModelParams,
+        and for a Record, which checks no types, the field's own name."""
+        names = [field.name for field in dataclasses.fields(cls)]
+        if cls is ModelParams:
+            return dict(zip(names, (0.7, 0.3, 0.1, 0.4, 0.6)))
+        return {name: name for name in names}
+
+    def test_signature_lists_the_fields_and_defaults(self, cls):
+        fields = dataclasses.fields(cls)
+        params = list(inspect.signature(cls).parameters.values())
+        assert [p.name for p in params] == [field.name for field in fields]
+        assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+        defaults = [
+            inspect.Parameter.empty if field.default is dataclasses.MISSING else field.default
+            for field in fields
+        ]
+        assert [p.default for p in params] == defaults
+        required = {
+            name: value for (name, value), default in zip(self.values(cls).items(), defaults)
+            if default is inspect.Parameter.empty
+        }
+        assert vars(cls(**required)) == {
+            field.name: required.get(field.name, field.default) for field in fields
+        }
+
+    def test_positional_and_keyword_construction_agree(self, cls):
+        values = self.values(cls)
+        by_position, by_name = cls(*values.values()), cls(**values)
+        assert vars(by_position) == vars(by_name) == values
+        assert by_position == by_name
+        assert hash(by_position) == hash(by_name)
+
+    def test_fields_are_frozen_and_replace_keeps_them(self, cls):
+        values = self.values(cls)
+        x = cls(**values)
+        for name in values:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, values[name])
+        assert dataclasses.replace(x) == x
+        assert vars(x) == values
