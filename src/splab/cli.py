@@ -170,32 +170,71 @@ def _csv_lines(columns: Sequence[list]) -> str:
     return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
-def _column_texts(values: Sequence, as_json: bool) -> list:
-    """One column's cell texts, each distinct cell formatted once.
+def _column_texts(columns: Sequence[Sequence], as_json: bool) -> list[list]:
+    """The cell texts of a chunk's columns, each distinct cell formatted once.
 
-    A cell is None, a str, an int or a float; None prints as '' or null.
-    Cells are keyed by value: a map's labels and prices repeat by value in
-    objects of their own, one per point.  Equal cells print apart only
-    across kinds (1 and 1.0) or as the two zeros (0.0 and -0.0), so a
-    column that mixes kinds or holds a zero is keyed by identity instead,
-    and one that mixes kinds is formatted one value at a time.
+    A cell is None, a str, an int or a float; None prints as '' or null.  A
+    column of one kind (all str, all int or all float, beside None) is keyed
+    by value, in one table per kind that all such columns of the chunk
+    share: a map's labels and prices repeat by value in objects of their
+    own, one per point, and the naive market's price and profits are often
+    one float.  A column of None only shares a table that holds None alone.
+    Equal cells print apart only across kinds (1 and 1.0), which tables of
+    their own keep apart, or as the two float zeros (0.0 and -0.0), so a
+    column that mixes kinds or holds a float zero is keyed by identity, in a
+    table of its own, and one that mixes kinds is formatted one value at a
+    time.
     """
-    kinds = set(map(type, values))
-    kinds.discard(type(None))
-    if len(kinds) == 1 and 0.0 not in values:
-        keys, none_key = values, None
-    else:
-        keys, none_key = list(map(id, values)), id(None)
-    distinct = dict(zip(keys, values))
-    distinct.pop(none_key, None)
-    objects = list(distinct.values())
-    if len(kinds) == 1:
-        texts = _texts(objects, as_json)
-    else:
-        texts = [_texts([value], as_json)[0] for value in objects]
-    table = dict(zip(distinct, texts))
-    table[none_key] = "null" if as_json else ""
-    return list(map(table.__getitem__, keys))
+    null = "null" if as_json else ""
+    texts: list = [None] * len(columns)
+    by_kind: dict[Optional[type], list[int]] = {}
+    for k, values in enumerate(columns):
+        kinds = set(map(type, values))
+        kinds.discard(type(None))
+        if len(kinds) > 1 or float in kinds and 0.0 in values:
+            keys = list(map(id, values))
+            distinct = dict(zip(keys, values))
+            distinct.pop(id(None), None)
+            objects = list(distinct.values())
+            if len(kinds) == 1:
+                printed = _texts(objects, as_json)
+            else:
+                printed = [_texts([value], as_json)[0] for value in objects]
+            table = dict(zip(distinct, printed))
+            table[id(None)] = null
+            texts[k] = list(map(table.__getitem__, keys))
+        else:
+            # A column of None only shares the table keyed None.
+            by_kind.setdefault(next(iter(kinds), None), []).append(k)
+    for shared in by_kind.values():
+        distinct = dict.fromkeys(itertools.chain.from_iterable(columns[k] for k in shared))
+        distinct.pop(None, None)
+        table = dict(zip(distinct, _texts(list(distinct), as_json) if distinct else ()))
+        table[None] = null
+        for k in shared:
+            texts[k] = list(map(table.__getitem__, columns[k]))
+    return texts
+
+
+def _json_rows(heads: Sequence[str], cells: Sequence[list]) -> str:
+    """A JSON chunk's row objects, separated by commas, from one row template.
+
+    `heads` are the columns' '    <name>: ' and `cells` their texts.  A
+    column whose texts are all equal is written into the template, so '%'
+    fills only the fields that vary; '%' is escaped in the heads and in the
+    texts folded in.
+    """
+    fields, varying = [], []
+    for head, texts in zip(heads, cells):
+        if texts.count(texts[0]) == len(texts):
+            fields.append((head + texts[0]).replace("%", "%%"))
+        else:
+            fields.append(head.replace("%", "%%") + "%s")
+            varying.append(texts)
+    template = "  {\n%s\n  }" % ",\n".join(fields)
+    if not varying:
+        return ",\n".join([template % ()] * len(cells[0]))
+    return ",\n".join(map(template.__mod__, zip(*varying)))
 
 
 def parse_axis(raw, name: str) -> tuple[float, float, int]:
@@ -410,6 +449,9 @@ def _output_columns(points: Iterator[tuple], fields: list, counts: Counter, row)
 
     A point then costs one ModelParams, one PoolingCandidate, one
     classify_equilibrium call and the EquilibriumOutcome it returns.  The
+    candidate is built as `PoolingCandidate._make` builds one, by
+    `tuple.__new__`, without a Python-level call per point; its length
+    holds because `pooling_candidates` returns one array per field.  The
     ModelParams and the call stay per point because the traced benchmark
     tallies region kinds at `cli.classify_equilibrium` and counts
     ModelParams builds, until it reads `--stats` instead (ROADMAP item 1).
@@ -417,7 +459,10 @@ def _output_columns(points: Iterator[tuple], fields: list, counts: Counter, row)
     so the tracer's wrappers and the tests' replacements take effect.
     """
     arrays = pooling_candidates(*fields)
-    candidates = map(PoolingCandidate, *(array.tolist() for array in arrays))
+    candidates = map(
+        tuple.__new__, itertools.repeat(PoolingCandidate),
+        zip(*(array.tolist() for array in arrays)),
+    )
     solved = map(classify_equilibrium, itertools.starmap(ModelParams, points), candidates)
     # Each point's fields join one flat list, so no tuple per point outlives
     # its point; column k is every width-th cell from cell k.
@@ -524,12 +569,15 @@ def _write_rows(rows: Iterable[tuple], columns: Sequence[str], args) -> float:
     as csv.writer does.  The JSON equals `json.dumps(..., indent=2)` of a
     list holding one object per row, each float rounded to those 12 digits,
     plus a newline.  Rows are pulled as chunks of columns (`_column_chunks`),
-    and each chunk is formatted column by column (`_column_texts`) and
-    written before the next is pulled, so a lazy grid (`_grid_rows`) is
-    solved, formatted and written one chunk at a time.  An axis column
-    (`AxisColumn`) takes its texts by index from its axis's, formatted once
-    per call (`_texts`).  A CSV chunk's lines are joined from its texts
-    (`_csv_lines`), and a JSON chunk is written from one row template.
+    and each chunk is formatted and written before the next is pulled, so a
+    lazy grid (`_grid_rows`) is solved, formatted and written one chunk at a
+    time.  An axis column (`AxisColumn`) takes its texts by index from its
+    axis's, formatted once per call (`_texts`); the chunk's other columns
+    are formatted together, with one table of texts per kind of cell
+    (`_column_texts`).  A CSV chunk's lines are joined from its texts
+    (`_csv_lines`).  A JSON chunk is written from one row template, built
+    per chunk from the unescaped column heads, into which every column
+    whose texts are all equal in that chunk is written once (`_json_rows`).
 
     Failing to open, write or close --out is a UsageError, and a failed
     stdout write a StdoutError; an error raised while pulling rows
@@ -537,20 +585,25 @@ def _write_rows(rows: Iterable[tuple], columns: Sequence[str], args) -> float:
     prefix of the output.
     """
     as_json = args.format == "json"
-    template = "  {\n%s\n  }" % ",\n".join(
-        "    %s: %%s" % encode_basestring_ascii(name).replace("%", "%%") for name in columns
-    )
+    heads = ["    %s: " % encode_basestring_ascii(name) for name in columns]
     # Keyed by the id of an axis's value list, which every chunk shares and
     # the chunks' generator keeps alive while this call runs.
     axis_texts: dict[int, np.ndarray] = {}
 
-    def texts(column) -> list:
-        if not isinstance(column, AxisColumn):
-            return _column_texts(column, as_json)
+    def axis_column_texts(column: AxisColumn) -> list:
         key = id(column.values)
         if key not in axis_texts:
             axis_texts[key] = np.array(_texts(column.values, as_json), dtype=object)
         return axis_texts[key][column.index].tolist()
+
+    def texts(chunk: list) -> list[list]:
+        others = iter(_column_texts(
+            [column for column in chunk if not isinstance(column, AxisColumn)], as_json
+        ))
+        return [
+            axis_column_texts(column) if isinstance(column, AxisColumn) else next(others)
+            for column in chunk
+        ]
 
     chunks = _column_chunks(rows)
     opener, waited = "[\n", 0.0
@@ -564,10 +617,10 @@ def _write_rows(rows: Iterable[tuple], columns: Sequence[str], args) -> float:
             waited += time.perf_counter() - pulled
             if chunk is None:
                 break
-            cells = list(map(texts, chunk))
+            cells = texts(chunk)
             with _writing(args.out):
                 if as_json:
-                    fh.write(opener + ",\n".join(map(template.__mod__, zip(*cells))))
+                    fh.write(opener + _json_rows(heads, cells))
                 else:
                     fh.write(_csv_lines(cells))
             opener = ",\n"

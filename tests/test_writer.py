@@ -9,7 +9,9 @@ confuse: 0.0 with -0.0, 1 with 1.0, NaN, and the infinities.  The writer
 formats at most GRID_CHUNK rows at a time, and writes them before it pulls
 the next chunk, so deterministic tables of more rows cross chunk boundaries,
 with shared and distinct cell objects, as a grid's axis and profit columns
-hold them.
+hold them.  A chunk's columns of one kind share one table of texts, and a
+JSON chunk writes the columns whose texts are all equal into its row
+template, so the last tests hold the cases those two could get wrong.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ COLUMNS = (
     "h", "lambda", "price", "region", "candidate_level",
     "a,b", 'say "hi"', "100%s", "mu₀", "tab\tnew\nline",
 )
-LABELS = ("R1", "R2", "R3", "R4", "R5", "mixed", "none", "pooling", "", "a,b", '"q"')
+LABELS = (
+    "R1", "R2", "R3", "R4", "R5", "mixed", "none", "pooling", "", "a,b", '"q"',
+    "%", "%%", "5%s",
+)
 SPECIAL_FLOATS = (
     0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e16, 0.1 + 0.2,
     1.0, 2.0, 0.123456789012345, 1e-7, 123456789012.5,
@@ -172,3 +177,56 @@ def test_each_chunk_is_written_before_the_next_is_pulled(fmt):
         len(_stdout(reference.write_rows, rows[:k * GRID_CHUNK], GRID_COLUMNS, fmt)) - closing
         for k in (0, 1, 2)
     ]
+
+
+def _assert_matches_reference(rows, columns, fmt):
+    assert _stdout(_write_rows, rows, columns, fmt) == _stdout(
+        reference.write_rows, rows, columns, fmt
+    )
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_int_column_beside_float_column_of_equal_values(fmt):
+    # One table per kind: 1 and 1.0 are equal keys, but print 1 and 1.0.
+    rows = [(k % 2 + 1, float(k % 2 + 1), k % 2 + 1.0, 2 - k % 2) for k in range(6)]
+    _assert_matches_reference(rows, ("level", "price", "profit", "rank"), fmt)
+    # An int 0 shares its kind's table; a float zero keeps 0.0 and -0.0 apart.
+    rows = [(k % 3, (0.0, -0.0, 1.0)[k % 3], k % 3 - 1, -0.0) for k in range(6)]
+    _assert_matches_reference(rows, ("level", "price", "rank", "profit"), fmt)
+    # Each column constant, so JSON folds them all into the template.
+    _assert_matches_reference([(1, 1.0, 2, 2.0)] * 3, ("a", "b", "c", "d"), fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_constant_columns_holding_percent_signs(fmt):
+    # Folded into the JSON row template, '%' and '%%' must print as they are.
+    rows = [("%", "%%", "5%s", k * 0.5, "100%") for k in range(5)]
+    _assert_matches_reference(rows, ("a", "100%s", "%%", "x%", "%d"), fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_chunk_whose_every_column_is_constant(fmt):
+    rows = [(0.5, "R2", None, 3, "%")] * 7
+    _assert_matches_reference(rows, ("h", "region", "alpha", "level", "100%s"), fmt)
+    _assert_matches_reference([(0.25,)] * 3, ("h",), fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("size", [GRID_CHUNK + 1, 2 * GRID_CHUNK])
+def test_column_constant_in_one_chunk_and_varying_in_the_next(fmt, size):
+    # "early" is constant in the first chunk only, "late" in the last only,
+    # and "ends" varies inside every chunk between equal first and last texts.
+    rows = [
+        (0.25 if k < GRID_CHUNK else k * 0.5, k * 0.5 if k < GRID_CHUNK else "R1",
+         "R2" if k % GRID_CHUNK in (0, GRID_CHUNK - 1) else "R4")
+        for k in range(size)
+    ]
+    _assert_matches_reference(rows, ("early", "late", "ends"), fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_all_none_columns(fmt):
+    rows = [(None, k * 0.5, None) for k in range(4)]
+    _assert_matches_reference(rows, ("low_price", "price", "alpha"), fmt)
+    # One column of None only: CSV prints each row as '""'.
+    _assert_matches_reference([(None,)] * 3, ("alpha",), fmt)
