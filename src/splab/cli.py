@@ -329,10 +329,23 @@ def _resolve_axes(args, config: dict) -> dict[str, list[float]]:
 
 
 class AxisColumn(NamedTuple):
-    """A grid chunk's column of one axis: its cell k is `values[index[k]]`."""
+    """A grid chunk's column of one axis: its cell k is `values[index[k]]`.
+
+    `values` is the stretch of the axis that the chunk touches, from its
+    least index to its greatest, and `index` each cell's index into it, so a
+    chunk holds no more of an axis than its own cells span.
+    """
 
     values: list
     index: np.ndarray
+
+
+def _axis_column(values: list, index: np.ndarray) -> AxisColumn:
+    """The column of the axis `values` at the indices `index`: the stretch
+    the indices span, as the axis's own float objects, and the indices
+    shifted into it (a new array, not a view of `index`)."""
+    lo, hi = index.min(), index.max()
+    return AxisColumn(values[lo:hi + 1], index - lo)
 
 
 def _chunk_rows(chunk: list) -> Iterator[tuple]:
@@ -419,22 +432,22 @@ def _grid_chunks(lists: list[list[float]], counts: Counter, row) -> Iterator[lis
 
     A chunk's points are the grid's flat indices start..start+chunk-1, and
     one `np.unravel_index` call gives each axis's indices there.  An axis
-    column is the axis's value list with those indices (`AxisColumn`), so
-    the writer formats each axis value once per walk and the rows share the
-    axes' float objects.  The output columns follow (`_output_columns`).
+    column is the stretch of the axis's value list that those indices span,
+    with the indices into it (`_axis_column`), so the rows share the axes'
+    float objects and no axis is held whole beyond its list.  The candidate
+    pass reads each axis's values from its stretch, and the output columns
+    follow (`_output_columns`).
     """
-    columns = [np.array(values) for values in lists]
-    shape = tuple(map(len, columns))
+    shape = tuple(map(len, lists))
     size = math.prod(shape)
     points = itertools.product(*lists)
     for start in range(0, size, GRID_CHUNK):
         chunk = min(GRID_CHUNK, size - start)
-        # unravel_index returns views of one (axes x chunk) array; a copy
-        # each keeps every buffer a chunk's column long.
-        indices = list(map(np.copy, np.unravel_index(np.arange(start, start + chunk), shape)))
-        fields = [column[index] for column, index in zip(columns, indices)]
+        flat = np.arange(start, start + chunk)
+        axes = list(map(_axis_column, lists, np.unravel_index(flat, shape)))
+        fields = [np.array(column.values)[column.index] for column in axes]
         outputs = _output_columns(itertools.islice(points, chunk), fields, counts, row)
-        yield [*map(AxisColumn, lists, indices), *outputs]
+        yield [*axes, *outputs]
 
 
 def _output_columns(points: Iterator[tuple], fields: list, counts: Counter, row) -> list[list]:
@@ -571,9 +584,10 @@ def _write_rows(rows: Iterable[tuple], columns: Sequence[str], args) -> float:
     plus a newline.  Rows are pulled as chunks of columns (`_column_chunks`),
     and each chunk is formatted and written before the next is pulled, so a
     lazy grid (`_grid_rows`) is solved, formatted and written one chunk at a
-    time.  An axis column (`AxisColumn`) takes its texts by index from its
-    axis's, formatted once per call (`_texts`); the chunk's other columns
-    are formatted together, with one table of texts per kind of cell
+    time.  An axis column (`AxisColumn`) takes its texts by index from
+    those of its stretch, formatted once per chunk (`_texts`), so nothing
+    is kept from one chunk to the next; the chunk's other columns are
+    formatted together, with one table of texts per kind of cell
     (`_column_texts`).  A CSV chunk's lines are joined from its texts
     (`_csv_lines`).  A JSON chunk is written from one row template, built
     per chunk from the unescaped column heads, into which every column
@@ -586,22 +600,14 @@ def _write_rows(rows: Iterable[tuple], columns: Sequence[str], args) -> float:
     """
     as_json = args.format == "json"
     heads = ["    %s: " % encode_basestring_ascii(name) for name in columns]
-    # Keyed by the id of an axis's value list, which every chunk shares and
-    # the chunks' generator keeps alive while this call runs.
-    axis_texts: dict[int, np.ndarray] = {}
-
-    def axis_column_texts(column: AxisColumn) -> list:
-        key = id(column.values)
-        if key not in axis_texts:
-            axis_texts[key] = np.array(_texts(column.values, as_json), dtype=object)
-        return axis_texts[key][column.index].tolist()
 
     def texts(chunk: list) -> list[list]:
         others = iter(_column_texts(
             [column for column in chunk if not isinstance(column, AxisColumn)], as_json
         ))
         return [
-            axis_column_texts(column) if isinstance(column, AxisColumn) else next(others)
+            np.array(_texts(column.values, as_json), dtype=object)[column.index].tolist()
+            if isinstance(column, AxisColumn) else next(others)
             for column in chunk
         ]
 

@@ -13,7 +13,8 @@ refused point must raise the reference's error before it solves any
 point) and compare's rows to its per-h body there, hold the CLI bytes to
 digests recorded before each pass was batched, also with the scalar
 argmaxes made to raise, and bound the memory the chunks take, which must
-not grow with the grid now that rows stream to the writer.
+not grow with the grid now that rows stream to the writer, and with a long
+axis by little more than its value list.
 """
 
 from __future__ import annotations
@@ -619,8 +620,9 @@ class TestMemory:
             fields = batched(*arrays)
             sizes.append(max(array.size for array in (*arrays, *fields)))
             if len(sizes) % 20 == 1:
-                # Every numpy buffer alive now: the chunk's index and value
-                # arrays, the inputs and the outputs.
+                # Every numpy buffer alive now: the chunk's index arrays, the
+                # inputs read off each axis's stretch and the outputs; no
+                # axis is held whole as an array.
                 largest.append(max(
                     trace.size for trace in tracemalloc.take_snapshot().traces
                     if trace.domain == np.lib.tracemalloc_domain
@@ -642,6 +644,16 @@ class TestMemory:
         assert max(sizes) == cli.GRID_CHUNK and len(largest) == 4
         assert max(largest) <= cli.GRID_CHUNK * np.dtype(np.float64).itemsize
 
+    @staticmethod
+    def _traced_peak(*argv: str) -> int:
+        """The tracemalloc peak of `cli.main(argv)`, in bytes."""
+        tracemalloc.start()
+        try:
+            assert cli.main(list(argv)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_streamed_peak_does_not_grow_with_the_grid(self, tmp_path):
         # A 3-chunk and a 10-chunk map, each written to a file: every chunk
         # is solved, formatted and written before the next, so the traced
@@ -650,16 +662,29 @@ class TestMemory:
         # the chunks hold alike (a chunk's share of the peak varies by some
         # hundred kB over h in [0.5, 1]).
         def peak(steps: int) -> int:
-            argv = ["regions", "--h", f"0.7:0.75:{steps}", "--lambda", "0:1:4096",
-                    "--vb", "0.22", "--out", str(tmp_path / f"{steps}.csv")]
-            tracemalloc.start()
-            try:
-                assert cli.main(argv) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return self._traced_peak(
+                "regions", "--h", f"0.7:0.75:{steps}", "--lambda", "0:1:4096",
+                "--vb", "0.22", "--out", str(tmp_path / f"{steps}.csv"),
+            )
 
         assert cli.GRID_CHUNK == 4096
         peak(3)  # fill the caches outside the measurement
         small, large = peak(3), peak(10)
         assert abs(large - small) <= 256 * 1024, (small, large)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_long_axis_peak_grows_by_little_per_value(self, tmp_path, fmt):
+        # One h axis 16 and 1 chunks long.  The walk holds per h value the
+        # axis's float list and itertools.product's tuple copy of it, about
+        # 40 B, and a chunk only the stretch of the axis it touches: 53-72 B
+        # in all.  A walk that also keeps the whole axis as an array and as
+        # texts grows by 132-151 B.
+        def peak(steps: int) -> int:
+            return self._traced_peak(
+                "regions", "--h", f"0.5:1:{steps}", "--lambda", "0.3", "--vb", "0.22",
+                "--format", fmt, "--out", str(tmp_path / f"{steps}.{fmt}"),
+            )
+
+        peak(4096)  # fill the caches outside the measurement
+        small, large = peak(4096), peak(65536)
+        assert large - small <= 100 * (65536 - 4096), (small, large)
