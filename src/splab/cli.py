@@ -331,9 +331,9 @@ def _resolve_axes(args, config: dict) -> dict[str, list[float]]:
 class AxisColumn(NamedTuple):
     """A grid chunk's column of one axis: its cell k is `values[index[k]]`.
 
-    `values` is the stretch of the axis that the chunk touches, from its
-    least index to its greatest, and `index` each cell's index into it, so a
-    chunk holds no more of an axis than its own cells span.
+    `values` holds the values of the axis that the chunk touches, and
+    `index` each cell's index into it, so a chunk holds no more of an axis
+    than its own cells span.
     """
 
     values: list
@@ -341,9 +341,20 @@ class AxisColumn(NamedTuple):
 
 
 def _axis_column(values: list, index: np.ndarray) -> AxisColumn:
-    """The column of the axis `values` at the indices `index`: the stretch
-    the indices span, as the axis's own float objects, and the indices
-    shifted into it (a new array, not a view of `index`)."""
+    """The column of the axis `values` at the indices `index`: the values
+    the indices touch, as the axis's own float objects, and the indices
+    shifted into them (a new array, not a view of `index`).
+
+    In product order a chunk's indices run up the axis from index[0],
+    wrapping to its start each time they pass its end.  Where they wrap
+    once and stop short of index[0] (index[-1] + 1 is never reached), the
+    chunk touches two pieces, values[index[0]:] and values[:index[-1] + 1],
+    and only those are kept.  Otherwise it touches the stretch from its
+    least index to its greatest: one run up the axis, or the whole axis.
+    """
+    first, last = int(index[0]), int(index[-1])
+    if last < first and not (index == last + 1).any():
+        return AxisColumn(values[first:] + values[:last + 1], (index - first) % len(values))
     lo, hi = index.min(), index.max()
     return AxisColumn(values[lo:hi + 1], index - lo)
 
@@ -432,11 +443,11 @@ def _grid_chunks(lists: list[list[float]], counts: Counter, row) -> Iterator[lis
 
     A chunk's points are the grid's flat indices start..start+chunk-1, and
     one `np.unravel_index` call gives each axis's indices there.  An axis
-    column is the stretch of the axis's value list that those indices span,
-    with the indices into it (`_axis_column`), so the rows share the axes'
-    float objects and no axis is held whole beyond its list.  The candidate
-    pass reads each axis's values from its stretch, and the output columns
-    follow (`_output_columns`).
+    column is the values of the axis's value list that those indices touch,
+    with the indices into them (`_axis_column`), so the rows share the
+    axes' float objects and no axis is held whole beyond its list.  The
+    candidate pass reads each axis's values from its column, and the output
+    columns follow (`_output_columns`).
     """
     shape = tuple(map(len, lists))
     size = math.prod(shape)
@@ -585,7 +596,7 @@ def _write_rows(rows: Iterable[tuple], columns: Sequence[str], args) -> float:
     and each chunk is formatted and written before the next is pulled, so a
     lazy grid (`_grid_rows`) is solved, formatted and written one chunk at a
     time.  An axis column (`AxisColumn`) takes its texts by index from
-    those of its stretch, formatted once per chunk (`_texts`), so nothing
+    those of its values, formatted once per chunk (`_texts`), so nothing
     is kept from one chunk to the next; the chunk's other columns are
     formatted together, with one table of texts per kind of cell
     (`_column_texts`).  A CSV chunk's lines are joined from its texts

@@ -14,11 +14,12 @@ WTPs, and the demand on each step between them under G and under B.
 prices are looked up in its steps.  The grid argmax splits a cached uniform
 mesh into runs, one per step.  On a run the demand is one number s >= 0
 and IEEE rounding of p * s is monotone in p, so only each run's last
-mesh price is scored; a bisection inside the winning run then finds the
-first mesh price that rounds to the same profit.  The at most nine
-candidate prices in range (the distinct WTPs and v_B) are scored one by
-one as Python floats, each on the step that `bisect_left` finds, which
-is the step and the IEEE product a mesh price there would get.
+mesh price is scored; a search back from the winning run's last price,
+doubling its step and then bisecting, finds the first mesh price that
+rounds to the same profit.  The at most seven candidate prices in range
+(the distinct WTPs and v_B) are scored one by one as Python floats, each
+on the step that `bisect_left` finds, which is the step and the IEEE
+product a mesh price there would get.
 """
 
 from __future__ import annotations
@@ -53,14 +54,18 @@ class _CellTable(NamedTuple):
     times Pr(signal | Q), under Q = G (i = 0) or B (i = 1).  levels are the
     sorted distinct WTPs.  steps[i][j] is the demand under that quality at
     every price in (levels[j-1], levels[j]], and the last entry, 0.0, the
-    demand above the top WTP.  A cached table is shared by every caller, so
-    it holds only tuples.
+    demand above the top WTP.  level_array and step_arrays hold levels and
+    steps again as numpy arrays, for the readers that search or index them
+    with arrays.  A cached table is shared by every caller, so it holds
+    tuples and read-only arrays only.
     """
 
     wtps: tuple[float, ...]
     masses: tuple[tuple[float, ...], tuple[float, ...]]
     levels: tuple[float, ...]
     steps: tuple[tuple[float, ...], tuple[float, ...]]
+    level_array: np.ndarray
+    step_arrays: tuple[np.ndarray, np.ndarray]
 
 
 def _build_table(params: ModelParams) -> _CellTable:
@@ -88,19 +93,20 @@ def _build_table(params: ModelParams) -> _CellTable:
         wtp_from_posterior(_bayes(mu0, 1.0 - L, L), params),
     )
     # Pr(signal | Q): the precision's probability times the chance that the
-    # valence matches quality (w) or not (1 - w).
+    # valence matches quality (w) or not (1 - w).  Under B good and bad news
+    # trade places at each precision, so cell k of B is cell k ^ 1 of G.
     high, low = gamma, 1.0 - gamma
     given_G = (high * h, high * (1.0 - h), low * L, low * (1.0 - L))
-    given_B = (high * (1.0 - h), high * h, low * (1.0 - L), low * L)
     shares = (1.0 - lam, lam)  # naive, sophisticated
     masses_G = tuple([share * pr for share in shares for pr in given_G])
-    masses_B = tuple([share * pr for share in shares for pr in given_B])
+    masses_B = tuple([masses_G[k ^ 1] for k in range(8)])
 
     levels = tuple(sorted(set(wtps)))
+    cells = tuple(zip(wtps, masses_G, masses_B))
     steps_G, steps_B = [], []
     for level in levels:
         total_G = total_B = 0.0
-        for wtp, mass_G, mass_B in zip(wtps, masses_G, masses_B):
+        for wtp, mass_G, mass_B in cells:
             if level <= wtp:
                 total_G += mass_G
                 total_B += mass_B
@@ -108,11 +114,18 @@ def _build_table(params: ModelParams) -> _CellTable:
         steps_B.append(total_B)
     steps_G.append(0.0)
     steps_B.append(0.0)
+    # The arrays are views of one read-only buffer, cheaper to build than
+    # three arrays.
+    arrays = np.array((*levels, *steps_G, *steps_B))
+    arrays.flags.writeable = False
+    k = len(levels)
     return _CellTable(
-        wtps=wtps,
-        masses=(masses_G, masses_B),
-        levels=levels,
-        steps=(tuple(steps_G), tuple(steps_B)),
+        wtps,
+        (masses_G, masses_B),
+        levels,
+        (tuple(steps_G), tuple(steps_B)),
+        arrays[:k],
+        (arrays[k : 2 * k + 1], arrays[2 * k + 1 :]),
     )
 
 
@@ -155,17 +168,25 @@ def consumer_cells(params: ModelParams, quality: Quality) -> list[tuple[float, f
 def demand_by_enumeration(params: ModelParams, quality: Quality, price):
     """Expected demand at `price`, summed over the eight cells.
 
-    `price` may be a scalar or an ndarray with every entry in [0, 1];
-    consumers buy when WTP >= price, so each price reads the step of the
-    lowest WTP at or above it.
+    `price` may be a scalar or an array of any shape with every entry in
+    [0, 1]: -0.0 is in, NaN is out, and an empty array gives an empty
+    array.  Consumers buy when WTP >= price, so each price reads the step
+    of the lowest WTP at or above it: one search of the table's level array
+    and one lookup in its step array serve every price.  A Python or numpy
+    scalar, or a 0-d array, gives a float.
     """
     prices = np.asarray(price, dtype=float)
-    if not np.all((prices >= 0.0) & (prices <= 1.0)):
+    # A NaN makes either reduction NaN, which fails its comparison; the
+    # initial values let an empty array pass.
+    if not (
+        np.minimum.reduce(prices, None, initial=0.0) >= 0.0
+        and np.maximum.reduce(prices, None, initial=1.0) <= 1.0
+    ):
         raise ParameterError("price must lie in [0, 1]")
     i = _quality_index(quality)
     table = _cell_table(params)
-    total = np.array(table.steps[i])[np.searchsorted(table.levels, prices, side="left")]
-    if np.ndim(price) == 0:
+    total = table.step_arrays[i][table.level_array.searchsorted(prices, side="left")]
+    if prices.ndim == 0:
         return float(total)
     return total
 
@@ -214,41 +235,54 @@ def _mesh(grid: GridSpec) -> np.ndarray:
 
 def _grid_prices(wtps: Sequence[float], v_B: float, grid: GridSpec) -> list[float]:
     """The candidate prices (distinct WTPs and v_B) inside the grid's range, ascending."""
-    return sorted(
-        price for price in {*wtps, v_B} if grid.price_min <= price <= grid.price_max
-    )
+    lo, hi = grid.price_min, grid.price_max
+    prices = [price for price in {*wtps, v_B} if lo <= price <= hi]
+    prices.sort()
+    return prices
 
 
 def _first_max(
-    prices: np.ndarray, wtps: Sequence[float], steps: Sequence[float]
+    prices: np.ndarray, levels: np.ndarray, steps: Sequence[float]
 ) -> tuple[float, float]:
     """Lowest of the ascending `prices` that earns the most, and that profit.
 
-    The prices at or below wtps[0] lie on step 0, those in (wtps[0],
-    wtps[1]] on step 1, and so on, up to the run above the top WTP.  On a
-    run every price sells the same demand s >= 0, and IEEE rounding of
+    The prices at or below levels[0] lie on step 0, those in (levels[0],
+    levels[1]] on step 1, and so on, up to the run above the top level.  On
+    a run every price sells the same demand s >= 0, and IEEE rounding of
     p * s is monotone in p, so the run earns its most at its last price.
-    Only those last prices (at most nine) are scored; the earliest run with
+    Only those last prices (at most seven) are scored; the earliest run with
     the strict maximum wins, as an argmax over every price would pick it.
-    Rounding can tie several prices at the end of that run, so a bisection
-    then finds the first price on it whose product equals the maximum.
+    Rounding can tie several prices at the end of that run, so the search
+    steps back from its last price, doubling the step while the product
+    still equals the maximum, and bisects the last bracket for the first
+    price that earns it.  Usually the price before the last already earns
+    less, and that one price is all it reads.
     """
-    ends = np.searchsorted(prices, wtps, side="right").tolist()
-    ends.append(len(prices))  # steps has one entry more than wtps
-    runs = [
-        (start, end, step)
-        for start, end, step in zip([0, *ends], ends, steps)
-        if start < end
-    ]
+    ends = prices.searchsorted(levels, side="right").tolist()
+    ends.append(len(prices))  # steps has one entry more than levels
+    best_profit = -math.inf
+    start = 0
+    for end, step in zip(ends, steps):
+        if start < end:
+            profit = prices.item(end - 1) * step
+            if profit > best_profit:
+                best_start, best_end, best_step, best_profit = start, end, step, profit
+        start = end
 
-    def last_profit(run: tuple[int, int, float]) -> float:
-        return float(prices[run[1] - 1]) * run[2]
-
-    # max returns the first of several maximal runs.
-    start, end, step = best = max(runs, key=last_profit)
-    profit = last_profit(best)
-    i = bisect_left(prices, profit, start, end - 1, key=lambda price: float(price) * step)
-    return float(prices[i]), profit
+    # prices[last] earns the maximum, and so does every price from the
+    # first one that earns it up to last.
+    last, stride = best_end - 1, 1
+    while last - stride >= best_start and prices.item(last - stride) * best_step == best_profit:
+        last -= stride
+        stride *= 2
+    first = bisect_left(
+        prices,
+        best_profit,
+        max(best_start, last - stride + 1),
+        last,
+        key=lambda price: float(price) * best_step,
+    )
+    return prices.item(first), best_profit
 
 
 _DEFAULT_GRID = GridSpec()
@@ -268,7 +302,7 @@ def grid_argmax(
     i = _quality_index(quality)
     table = _cell_table(params)
     levels, steps = table.levels, table.steps[i]
-    best_price, best_profit = _first_max(_mesh(grid), levels, steps)
+    best_price, best_profit = _first_max(_mesh(grid), table.level_array, steps)
     for price in _grid_prices(levels, params.v_B, grid):
         # The step searchsorted(levels, price, side="left") picks.
         profit = price * steps[bisect_left(levels, price)]

@@ -644,6 +644,23 @@ class TestMemory:
         assert max(sizes) == cli.GRID_CHUNK and len(largest) == 4
         assert max(largest) <= cli.GRID_CHUNK * np.dtype(np.float64).itemsize
 
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.lists(st.integers(1, 12), min_size=1, max_size=3), data=st.data())
+    def test_axis_column_holds_only_the_values_its_chunk_touches(self, shape, data):
+        # Any run of flat indices, as a chunk takes them: on each axis it
+        # may stay inside one stretch, wrap once, or wrap more often.
+        size = math.prod(shape)
+        start = data.draw(st.integers(0, size - 1))
+        stop = data.draw(st.integers(start + 1, size))
+        indices = np.unravel_index(np.arange(start, stop), shape)
+        for length, index in zip(shape, indices):
+            values = [float(k) for k in range(length)]
+            column = cli._axis_column(values, index)
+            cells = [column.values[k] for k in column.index.tolist()]
+            assert all(cell is values[k] for cell, k in zip(cells, index.tolist()))
+            assert len(column.values) == len(set(index.tolist()))
+            assert not np.shares_memory(column.index, index)
+
     @staticmethod
     def _traced_peak(*argv: str) -> int:
         """The tracemalloc peak of `cli.main(argv)`, in bytes."""
@@ -688,3 +705,23 @@ class TestMemory:
         peak(4096)  # fill the caches outside the measurement
         small, large = peak(4096), peak(65536)
         assert large - small <= 100 * (65536 - 4096), (small, large)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_wrapped_axis_peak_grows_by_little_per_value(self, tmp_path, fmt):
+        # Two h values and a lambda axis one chunk and 16 chunks long: the
+        # chunk that holds the first lambda's end wraps to its start, so it
+        # touches the axis's last value and its first 4095.  It keeps only
+        # those two pieces, and the walk grows by the axis's float list and
+        # product's tuple copy of it: 48-52 B per lambda value.  A chunk that
+        # kept the whole axis from its least index to its greatest, with its
+        # texts, grows by 98-112 B.
+        def peak(steps: int) -> int:
+            return self._traced_peak(
+                "regions", "--h", "0.5:1:2", "--lambda", f"0:1:{steps}", "--vb", "0.22",
+                "--format", fmt, "--out", str(tmp_path / f"{steps}.{fmt}"),
+            )
+
+        assert cli.GRID_CHUNK == 4096
+        peak(4097)  # fill the caches outside the measurement
+        small, large = peak(4097), peak(65537)
+        assert large - small <= 75 * (65537 - 4097), (small, large)

@@ -203,6 +203,41 @@ class TestEnumeration:
         with pytest.raises(ParameterError):
             demand_by_enumeration(params, Quality.G, price)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0 + 2.0**-52, -1e-300])
+    @pytest.mark.parametrize("at", [0, 3, 7])
+    @pytest.mark.parametrize("shape", [(8,), (2, 4)])
+    def test_any_price_off_the_domain_is_refused(self, bad, at, shape):
+        # One bad price anywhere among in-range ones, first, inside or last.
+        prices = np.linspace(0.0, 1.0, 8)
+        prices[at] = bad
+        for quality in Quality:
+            with pytest.raises(ParameterError):
+                demand_by_enumeration(_POINT, quality, prices.reshape(shape))
+            with pytest.raises(ParameterError):
+                demand_by_enumeration(_POINT, quality, bad)
+
+    def test_empty_prices_give_an_empty_array(self):
+        for quality in Quality:
+            for prices in (np.array([]), np.empty((0, 3)), []):
+                out = demand_by_enumeration(_POINT, quality, prices)
+                assert isinstance(out, np.ndarray) and out.shape == np.shape(prices)
+
+    def test_negative_zero_is_in_the_domain(self):
+        for quality in Quality:
+            everyone = demand_by_enumeration(_POINT, quality, 0.0)
+            assert demand_by_enumeration(_POINT, quality, -0.0) == everyone
+            out = demand_by_enumeration(_POINT, quality, np.array([-0.0, 0.0, 1.0]))
+            assert out.tolist() == [everyone, everyone, 0.0]
+
+    @pytest.mark.parametrize(
+        "price", [0.55, 1, np.float64(0.55), np.float32(0.25), np.array(0.55), np.array(1)]
+    )
+    def test_a_scalar_price_gives_a_float(self, price):
+        for quality in Quality:
+            out = demand_by_enumeration(_POINT, quality, price)
+            assert type(out) is float
+            assert out == demand_by_enumeration(_POINT, quality, np.array([price]))[0]
+
     @settings(max_examples=200, deadline=None)
     @given(params=box, prices=st.lists(st.floats(0.0, 1.0), max_size=20))
     def test_equals_cell_by_cell_reference(self, params, prices):
@@ -278,6 +313,36 @@ class TestGridArgmax:
     # first maximum for Q = B is 0.5499999999999999, not the step's last 0.55.
     @example(
         params=ModelParams(h=0.8, lam=0.5, v_B=0.1), grid=GridSpec(0.549999999999999, 0.55, 50)
+    )
+    # Three or more mesh prices tie at the maximum where the products are
+    # subnormal: a tiny sophisticated share sells 4e-311 (G) or 1e-311 (B)
+    # on the top step, and the mesh ends on its WTP 0.8200000000000001.
+    # The ties end the mesh: 3 (G) and 4 (B) on the first grid, 7 and 10 on
+    # the second, 2 and 3 on the third.  The first tied price is neither the
+    # run's last price nor, for 3, 7 and 10 ties, one that doubling the step
+    # back from it reaches.
+    @example(
+        params=ModelParams(h=0.8, lam=1e-310, v_B=0.1),
+        grid=GridSpec(0.819999999999012, 0.8200000000000001, 21),
+    )
+    @example(
+        params=ModelParams(h=0.8, lam=1e-310, v_B=0.1),
+        grid=GridSpec(0.81999999999962, 0.8200000000000001, 21),
+    )
+    @example(
+        params=ModelParams(h=0.8, lam=1e-310, v_B=0.1),
+        grid=GridSpec(0.81999999999848, 0.8200000000000001, 21),
+    )
+    # Subnormal prices: a prior of 1e-320 or 4e-321 puts every WTP below
+    # 1e-319, and 5 mesh prices of 6 tie under G on the first grid, 30 of 34
+    # under B on the second.
+    @example(
+        params=ModelParams(h=0.6, lam=0.5, v_B=0.0, mu0=1e-320),
+        grid=GridSpec(1.497e-320, 1.4995e-320, 6),
+    )
+    @example(
+        params=ModelParams(h=0.9, lam=0.5, v_B=0.0, mu0=4e-321),
+        grid=GridSpec(3.5854e-320, 3.6017e-320, 34),
     )
     def test_equals_union_grid_reference(self, params, grid):
         # repr, not ==, so a -0.0 price or profit cannot pass for 0.0.
