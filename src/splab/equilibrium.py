@@ -26,7 +26,12 @@ h_overline and v_bar have closed forms.  At one
 (lam, v_B) the sorted pairwise ties in h split (0.5, 1) into a level map:
 pieces on which no two levels swap order, so one evaluation per piece gives
 its argmax level, and h_hat1, h_star and h_hat3 are the left ends of the
-first pieces whose level exceeds 1, 2 and 3.  The two three-way ties
+first pieces whose level exceeds 1, 2 and 3.  The argmax level at h = 1 and
+just below h_star and h_hat3 is read off the same polynomials; the ladder
+decides only where the runner-up comes within _PROBE_MARGIN of the top, a
+floating-point filter with an exact fallback (Shewchuk, Adaptive Precision
+Floating-Point Arithmetic and Fast Robust Geometric Predicates, 1997).  The
+polynomials and the three-way ties are cached per v_B.  The two three-way ties
 lambda_hat1 and lambda_hat3 are each a root of one quartic in h, found
 without numpy by splitting at the roots of its derivatives.  The
 precision-mix thresholds (gamma_switch, gamma_thresholds) are radicals too;
@@ -368,7 +373,7 @@ def solve_mixed(params: ModelParams) -> EquilibriumOutcome:
 #: c0 + c1*x + c2*x**2; in h-direction polynomials x is t = h - 0.5.
 Quadratic = tuple[float, float, float]
 #: Each level's profit_G as (A, B), profit_G = A(t) + lam * B(t); see _profit_polys.
-Polys = list[tuple[Quadratic, Quadratic]]
+Polys = tuple[tuple[Quadratic, Quadratic], ...]
 
 
 def _level_profit_G(h: float, lam: float, v_B: float, level: int) -> float:
@@ -381,8 +386,9 @@ def _argmax_level(h: float, lam: float, v_B: float) -> int:
     """best_pooling_candidate's level at a baseline point (v_B counts as 1).
 
     The products and tie-break of _argmax over _baseline_set's six
-    candidates, kept to the level: the threshold engine asks for nothing
-    else, so no PoolingCandidate or candidate tuples are built.
+    candidates, kept to the level: no PoolingCandidate or candidate tuples
+    are built.  The threshold engine asks it only where _probe_level's
+    profit polynomials are too close to a tie to settle the level.
     """
     wtps, cov_G, _ = ladder_fields(h, lam, v_B)
     best, best_price = 0, wtps[0]
@@ -444,20 +450,59 @@ def _ladder_table() -> tuple[tuple[tuple[float, float], ...], ...]:
 _PROFIT_TABLE = _ladder_table()
 
 
+#: Entries of each cache keyed by v_B (_profit_polys, _structure_constants).
+_V_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_V_CACHE_SIZE)
 def _profit_polys(v_B: float) -> Polys:
     """Level k's profit_G as A_k(t) + lam * B_k(t), t = h - 0.5, k = 1..5.
 
     _PROFIT_TABLE evaluated at v_B: each coefficient is its value at
     v_B = 0 plus v_B times its slope.  It matches interpolating the ladder
-    at v_B itself to within a few 1e-15.
+    at v_B itself to within a few 1e-15.  Cached per v_B, as
+    _structure_constants is; 0.0 and -0.0 share an entry, and their
+    coefficients are the same.
     """
-    return [
+    return tuple(
         (
             (a0 + v_B * s0, a1 + v_B * s1, a2 + v_B * s2),
             (b0 + v_B * t0, b1 + v_B * t1, b2 + v_B * t2),
         )
         for (a0, s0), (a1, s1), (a2, s2), (b0, t0), (b1, t1), (b2, t2) in _PROFIT_TABLE
-    ]
+    )
+
+
+#: How far the top level's polynomial profit must lead the runner-up's for
+#: _probe_level to trust it.  The polynomials and the ladder's wtp * cov_G
+#: differ by a few 1e-16 (tests/test_profit_table.py holds them to a
+#: hundredth of this), so a lead this wide is the ladder's argmax too.
+_PROBE_MARGIN = 1e-12
+
+
+def _probe_level(polys: Polys, h: float, lam: float, v_B: float) -> int:
+    """_argmax_level(h, lam, v_B), read off the profit polynomials where they settle it.
+
+    The top level of the five polynomials at (h, lam) is the ladder's argmax
+    when it leads the runner-up by more than _PROBE_MARGIN: the two differ
+    by far less, and the v_B candidate never earns more than the rung
+    covering it.  Closer than that the ladder decides, a floating-point
+    filter with an exact fallback.  That happens at a tie, and at h = 1
+    once v_B is within about 4e-12 of 1, where levels 1 and 2 earn within
+    (1 - v_B) / 4 of each other.
+    """
+    t = h - 0.5
+    top = second = -math.inf
+    level = 0
+    for k, ((a0, a1, a2), (b0, b1, b2)) in enumerate(polys, 1):
+        value = a0 + lam * b0 + t * (a1 + lam * b1 + t * (a2 + lam * b2))
+        if value > top:
+            top, second, level = value, top, k
+        elif value > second:
+            second = value
+    if top - second > _PROBE_MARGIN:
+        return level
+    return _argmax_level(h, lam, v_B)
 
 
 def _mul(p: Quadratic, q: Quadratic) -> tuple[float, ...]:
@@ -589,48 +634,68 @@ def _level_boundaries(polys: Polys, lam: float, v_B: float) -> tuple[float, floa
     at the midpoint gives the level of the whole piece.  Nothing here assumes the argmax
     rises monotonically in h: the first switch is found even if a later one
     switches back.  The scan stops at the first piece that settles all three.
-    The ten pair roots and the five evaluations per piece are written out
-    (the float operations of _roots and _eval), as this is the warm path's
-    inner loop.
+    The level at h = 1 comes from _probe_level.  The ten pair roots and the
+    five evaluations per piece are written out (the float operations of
+    _roots and _eval), as this is the warm path's inner loop: the roots go
+    to a list, where two pairs that cross at the same t leave an empty piece
+    that is skipped, and each piece's argmax is the first strictly larger
+    value, as values.index(max(values)) picks it.
     """
     bounds = [1.0, 1.0, 1.0]
-    wanted = min(_argmax_level(1.0, lam, v_B) - 1, 3)
+    wanted = min(_probe_level(polys, 1.0, lam, v_B) - 1, 3)
     if wanted == 0:
         return 1.0, 1.0, 1.0
     profits = [
         (a0 + lam * b0, a1 + lam * b1, a2 + lam * b2) for (a0, a1, a2), (b0, b1, b2) in polys
     ]
-    edges = {0.0, 0.5}
+    edges = [0.0, 0.5]
     for i, (p0, p1, p2) in enumerate(profits):
         for q0, q1, q2 in profits[i + 1:]:
             c0, c1, c2 = p0 - q0, p1 - q1, p2 - q2
             if c2 == 0.0:
-                roots = () if c1 == 0.0 else (-c0 / c1,)
-            else:
-                disc = c1 * c1 - 4.0 * c2 * c0
-                if disc < 0.0:
-                    continue
-                s = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
-                roots = (s / c2, c0 / s) if s != 0.0 else ()
-            for r in roots:
+                if c1 != 0.0:
+                    r = -c0 / c1
+                    if 0.0 < r < 0.5:
+                        edges.append(r)
+                continue
+            disc = c1 * c1 - 4.0 * c2 * c0
+            if disc < 0.0:
+                continue
+            s = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+            if s != 0.0:
+                r = s / c2
                 if 0.0 < r < 0.5:
-                    edges.add(r)
-    ordered = sorted(edges)
+                    edges.append(r)
+                r = c0 / s
+                if 0.0 < r < 0.5:
+                    edges.append(r)
+    edges.sort()
     found = 0
     (p10, p11, p12), (p20, p21, p22), (p30, p31, p32), (p40, p41, p42), (p50, p51, p52) = profits
-    for left, right in zip(ordered, ordered[1:]):
+    left = 0.0
+    for right in edges:
+        if right == left:
+            continue
         x = 0.5 * (left + right)
-        values = [
-            p10 + x * (p11 + x * p12), p20 + x * (p21 + x * p22), p30 + x * (p31 + x * p32),
-            p40 + x * (p41 + x * p42), p50 + x * (p51 + x * p52),
-        ]
+        best, level = p10 + x * (p11 + x * p12), 0
+        value = p20 + x * (p21 + x * p22)
+        if value > best:
+            best, level = value, 1
+        value = p30 + x * (p31 + x * p32)
+        if value > best:
+            best, level = value, 2
+        value = p40 + x * (p41 + x * p42)
+        if value > best:
+            best, level = value, 3
+        if p50 + x * (p51 + x * p52) > best:
+            level = 4
         # bounds[m - 1] is settled by the first piece whose level exceeds m.
-        level = values.index(max(values))
         while found < wanted and level > found:
             bounds[found] = 0.5 + left
             found += 1
         if found == wanted:
             break
+        left = right
     return bounds[0], bounds[1], bounds[2]
 
 
@@ -642,7 +707,7 @@ class _StructureConstants(NamedTuple):
     h_knee2: Optional[float]  # peak of the R2 boundary, at lambda_hat1
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=_V_CACHE_SIZE)
 def _structure_constants(v_B: float) -> _StructureConstants:
     """The lambda-axis tie points and the two interior peaks of the region map.
 
@@ -781,17 +846,27 @@ def thresholds(params: ModelParams) -> ThresholdSet:
     The h-axis thresholds use the argmax-level switch, which exists whether
     or not the pooling equilibrium survives the deviation check -- so the
     set is well defined even for v_B above v_bar, where a sliver of the
-    (h, lambda) square has no pure-strategy equilibrium.
+    (h, lambda) square has no pure-strategy equilibrium.  A warm call (v_B
+    seen before) reads the cached polynomials and structure constants, walks
+    one level map and makes at most two level probes below its boundaries;
+    none calls the ladder unless the probe's runner-up is within
+    _PROBE_MARGIN of its top.
     """
     _require_base(params, "thresholds")
     lam, v = params.lam, params.v_B
     consts = _structure_constants(v)
     polys = _profit_polys(v)
     h_hat1, h_star, boundary3 = _level_boundaries(polys, lam, v)
-    # Where the level-3 region is empty the two boundaries coincide, and one
-    # probe serves both.
-    below_star = _level_below(h_star, lam, v)
-    below3 = below_star if boundary3 == h_star else _level_below(boundary3, lam, v)
+    # A boundary is kept only if the level it bounds occurs just below it
+    # (1e-8 below, at least 0.5): with lambda past a knee the region of an
+    # intermediate level is empty, and its boundary coincides with a lower
+    # level's.  Where the level-3 region is empty the two boundaries
+    # coincide, and one probe serves both.
+    below_star = _probe_level(polys, max(0.5, h_star - 1e-8), lam, v)
+    below3 = (
+        below_star if boundary3 == h_star
+        else _probe_level(polys, max(0.5, boundary3 - 1e-8), lam, v)
+    )
     return ThresholdSet(
         h_star=h_star,
         h_hat1=h_hat1,
@@ -805,16 +880,6 @@ def thresholds(params: ModelParams) -> ThresholdSet:
         h_underline=_h_underline(v),
         h_overline=_h_overline(v),
     )
-
-
-def _level_below(boundary: float, lam: float, v_B: float) -> int:
-    """The argmax level just below a level boundary (1e-8 below, at least 0.5).
-
-    A boundary is kept only if the level it bounds actually occurs below it.
-    With lambda past a knee the region for an intermediate level is empty;
-    its boundary then coincides with a lower level's and is reported absent.
-    """
-    return _argmax_level(max(0.5, boundary - 1e-8), lam, v_B)
 
 
 # ---------------------------------------------------------------------------

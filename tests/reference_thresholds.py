@@ -13,10 +13,13 @@ profit polynomials (`_profit_polys`, off the v_B-affine table) and share
 
 It also keeps the bodies the engine's warm path replaced, which
 `tests/test_profit_table.py` holds the rewrites to: `ladder_profit_polys`
-(the polynomials interpolated off the ladder at each v_B), `argmax_level`
-(the full six-candidate argmax), `level_boundaries` (the level map through
-`_roots`, `_sub` and `_eval` calls), `bracketed_root` and `lambda_bar`
-(each lambda tie through it).
+(the polynomials interpolated off the ladder at each v_B, where the engine
+reads one table, cached per v_B), `argmax_level` (the full six-candidate
+argmax, where the engine's `_argmax_level` keeps only the level and its
+`_probe_level` reads the polynomials and asks the ladder only near a tie),
+`level_boundaries` (the level map through `_roots`, `_sub` and `_eval`
+calls, a set of edges and `values.index(max(values))` per piece),
+`bracketed_root` and `lambda_bar` (each lambda tie through it).
 """
 
 from __future__ import annotations

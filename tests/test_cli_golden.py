@@ -44,6 +44,11 @@ CASES = {
     "compare": ["compare", "--h", "0.5:1:11", "--vb", "0.3"],
     "thresholds_all_present": ["thresholds", "--h", "0.7", "--lambda", "0.3", "--vb", "0.1"],
     "thresholds_some_absent": ["thresholds", "--h", "0.9", "--lambda", "0.8", "--vb", "0.3"],
+    # Two ulps below v_B = 1 the h = 1 probe is too close to a tie for the
+    # profit polynomials to settle, and the ladder decides.
+    "thresholds_ladder_probe": [
+        "thresholds", "--h", "0.7", "--lambda", "0.41", "--vb", "0.9999999999999998",
+    ],
 }
 
 

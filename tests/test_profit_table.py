@@ -5,11 +5,13 @@ v_B = 0 and 1; it must match interpolating the ladder at v_B itself
 (`reference_thresholds.ladder_profit_polys`) to within 4e-15 in every
 coefficient.  Given the table, every rewrite on the warm path of
 `thresholds()` must equal the body it replaced bit for bit (compared by
-`repr`, so that -0.0 and 0.0 differ): the level-only argmax, the level map
-with its pair roots and piece evaluations written out, and each lambda tie
-as one closed-form root.  The draws cover the full parameter box with its
-edges: h in {0.5, 1}, lam in {0, -0.0, 1} and v_B among the last 2**20
-floats below 1.
+`repr`, so that -0.0 and 0.0 differ): the level-only argmax, the level
+probe that reads the profit polynomials and asks the ladder only near a tie,
+the level map with its pair roots and piece evaluations written out, and
+each lambda tie as one closed-form root.  The draws cover the full parameter
+box with its edges: h in {0.5, 1}, lam in {0, -0.0, 1} and v_B among the
+last 2**20 floats below 1.  The level map also runs on a fixed grid of the
+last 64 floats below 1, where about half the probes fall back to the ladder.
 """
 
 from __future__ import annotations
@@ -17,11 +19,15 @@ from __future__ import annotations
 from hypothesis import example, given, settings, strategies as st
 
 import reference_thresholds as reference
+from splab.demand import ladder_fields
 from splab.equilibrium import (
+    _PROBE_MARGIN,
     _argmax_level,
+    _eval,
     _lambda_bar,
     _lambda_root,
     _level_boundaries,
+    _probe_level,
     _profit_polys,
     _structure_constants,
     _tie_lambda,
@@ -54,7 +60,25 @@ def test_table_matches_the_ladder(v_B):
 @example(h=0.5, lam=1.0, v_B=LAST_ULPS[1])
 @example(h=0.5, lam=0.0, v_B=0.0)
 def test_argmax_level_equals_the_full_argmax(h, lam, v_B):
-    assert _argmax_level(h, lam, v_B) == reference.argmax_level(h, lam, v_B)
+    want = reference.argmax_level(h, lam, v_B)
+    assert _argmax_level(h, lam, v_B) == want
+    assert _probe_level(_profit_polys(v_B), h, lam, v_B) == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(h=HS, lam=LAMS, v_B=NEAR_ONE_VBS)
+@example(h=1.0, lam=1.0, v_B=LAST_ULPS[0])
+@example(h=0.5, lam=0.0, v_B=0.0)
+@example(h=0.75, lam=0.5, v_B=0.5)
+def test_probe_margin_covers_the_ladder_gap(h, lam, v_B):
+    # Every rung's polynomial profit, evaluated as _probe_level evaluates it
+    # (A + lam * B, then Horner in t), lies well inside the margin of the
+    # ladder's wtp * cov_G, so a lead wider than the margin on the
+    # polynomials is a lead on the ladder.
+    wtps, cov_G, _ = ladder_fields(h, lam, v_B)
+    for k, profit in enumerate(reference.profits_at(lam, v_B)):
+        gap = abs(_eval(profit, h - 0.5) - wtps[k] * cov_G[k])
+        assert gap <= _PROBE_MARGIN / 100, (k + 1, gap)
 
 
 ENDS = st.sampled_from((0.0, -0.0))
@@ -98,12 +122,31 @@ def test_lambda_ties_equal_the_bracketed_roots(h, v_B):
     assert repr(_lambda_bar(polys, h, consts)) == repr(reference.lambda_bar(h, v_B, consts))
 
 
+def _last_ulps_grid(test):
+    """The test at v_B = 1 - k * 2**-53, k = 1..64, by lam in {0, 0.01, ..., 1}.
+
+    So close to 1, levels 1 and 2 earn within (1 - v_B) / 4 of each other
+    at h = 1, and about half the level probes there are settled by the
+    ladder.
+    """
+    for k in range(1, 65):
+        for i in range(101):
+            test = example(lam=i / 100, v_B=1.0 - k * 2.0**-53)(test)
+    return test
+
+
 @settings(max_examples=500, deadline=None)
 @given(lam=LAMS, v_B=NEAR_ONE_VBS)
 @example(lam=0.0, v_B=0.0)
 @example(lam=-0.0, v_B=0.22)
 @example(lam=1.0, v_B=LAST_ULPS[0])
 @example(lam=0.3, v_B=LAST_ULPS[1])
+@_last_ulps_grid
 def test_level_map_equals_the_replaced_body(lam, v_B):
-    got = _level_boundaries(_profit_polys(v_B), lam, v_B)
+    polys = _profit_polys(v_B)
+    got = _level_boundaries(polys, lam, v_B)
     assert repr(got) == repr(reference.level_boundaries(lam, v_B))
+    # thresholds() probes the level just below h_star and the level-3 boundary.
+    for boundary in got[1:]:
+        h = max(0.5, boundary - 1e-8)
+        assert _probe_level(polys, h, lam, v_B) == reference.argmax_level(h, lam, v_B), boundary
